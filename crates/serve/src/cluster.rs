@@ -55,10 +55,7 @@
 
 use crate::generator::{RequestGenerator, TrafficConfig};
 use crate::metrics::{ClassMetrics, Completion, LatencySummary, PodMetrics};
-use crate::pod::{
-    service_cycles, simulate_pod_trace, simulate_pod_trace_traced_at, PodConfig, ServingReport,
-    SharedModelCache,
-};
+use crate::pod::{service_cycles, Input, PodConfig, PodEngine, ServingReport, SharedModelCache};
 use crate::request::{Request, RequestClass};
 use crate::router::{PodRole, PodView, RouterPolicy, RoutingPolicy};
 use crate::scheduler::{AdmissionOutlook, AdmissionPolicy, ShedReason};
@@ -639,6 +636,40 @@ fn autoscale_step(
     }
 }
 
+/// Emits the whole lifecycle of a request the router refused at `cycle`
+/// — `Arrived` then `Shed`, attributed to the refusing pod `pod`. The
+/// request is never booked, so no pod replay will trace it.
+fn emit_router_shed(
+    sink: &mut dyn TraceSink,
+    pod: usize,
+    r: &Request,
+    cycle: u64,
+    reason: ShedReason,
+) {
+    if sink.enabled() {
+        let (id, client, class) = (r.id, r.client, r.class);
+        sink.record(
+            pod,
+            TraceEvent::Arrived {
+                id,
+                client,
+                class,
+                cycle,
+            },
+        );
+        sink.record(
+            pod,
+            TraceEvent::Shed {
+                id,
+                client,
+                class,
+                cycle,
+                reason,
+            },
+        );
+    }
+}
+
 /// Kills pod `pi` at cycle `f`: replays its routed sub-trace, keeps
 /// completions it finished by `f`, drops its affinities and re-routes
 /// its unfinished requests (arrival bumped to `f`, original deadlines
@@ -664,11 +695,11 @@ fn process_failure(
     // When tracing, record the dead pod's replay so the events of
     // completions that survive the cut can be forwarded.
     let mut rec = RecordingSink::default();
-    let full = if sink.enabled() {
-        simulate_pod_trace_traced_at(&cfg, &states[pi].assigned, &mut rec, pi, None)
-    } else {
-        simulate_pod_trace(&cfg, &states[pi].assigned)
-    };
+    let mut null = NullSink;
+    let replay_sink: &mut dyn TraceSink = if sink.enabled() { &mut rec } else { &mut null };
+    let mut policy = cfg.scheduler.build(&cfg.client_weights);
+    let input = Input::Trace(&states[pi].assigned);
+    let full = PodEngine::new(&cfg, input, policy.as_mut(), replay_sink, pi, None).run();
     let report = truncate_report(full, f, cfg.arrays.len());
     // Terminal on the dead pod: completions it finished by the cut,
     // plus requests its own admission policy shed by then. Neither may
@@ -747,27 +778,7 @@ fn process_failure(
         // re-arrives (and terminates) at the rescue pod.
         if let Some(reason) = shed_reason {
             *router_shed += 1;
-            if sink.enabled() {
-                sink.record(
-                    to,
-                    TraceEvent::Arrived {
-                        id: r.id,
-                        client: r.client,
-                        class: r.class,
-                        cycle: f,
-                    },
-                );
-                sink.record(
-                    to,
-                    TraceEvent::Shed {
-                        id: r.id,
-                        client: r.client,
-                        class: r.class,
-                        cycle: f,
-                        reason,
-                    },
-                );
-            }
+            emit_router_shed(sink, to, &r, f, reason);
         }
     }
 }
@@ -911,27 +922,7 @@ pub(crate) fn simulate_cluster_traced_impl(
             // then Shed) is emitted here, attributed to the pod that
             // refused it.
             router_shed += 1;
-            if sink.enabled() {
-                sink.record(
-                    target,
-                    TraceEvent::Arrived {
-                        id: req.id,
-                        client: req.client,
-                        class: req.class,
-                        cycle: req.arrival,
-                    },
-                );
-                sink.record(
-                    target,
-                    TraceEvent::Shed {
-                        id: req.id,
-                        client: req.client,
-                        class: req.class,
-                        cycle: req.arrival,
-                        reason,
-                    },
-                );
-            }
+            emit_router_shed(sink, target, req, req.arrival, reason);
             continue;
         }
         if sink.enabled() {
@@ -991,11 +982,13 @@ pub(crate) fn simulate_cluster_traced_impl(
                 Some(scope.spawn(move || {
                     let cfg = effective_pod(&pods[i], st.ready_at);
                     let mut local = RecordingSink::default();
-                    let report = if record {
-                        simulate_pod_trace_traced_at(&cfg, &st.assigned, &mut local, i, shared)
-                    } else {
-                        simulate_pod_trace_traced_at(&cfg, &st.assigned, &mut NullSink, i, shared)
-                    };
+                    let mut null = NullSink;
+                    let replay_sink: &mut dyn TraceSink =
+                        if record { &mut local } else { &mut null };
+                    let mut policy = cfg.scheduler.build(&cfg.client_weights);
+                    let input = Input::Trace(&st.assigned);
+                    let report =
+                        PodEngine::new(&cfg, input, policy.as_mut(), replay_sink, i, shared).run();
                     (report, local)
                 }))
             })

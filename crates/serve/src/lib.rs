@@ -96,9 +96,8 @@ pub use generator::{
 pub use metrics::{percentile, ClassMetrics, Completion, LatencySummary, PodMetrics, ShedRecord};
 pub use pod::{
     service_cycles, simulate_pod, simulate_pod_trace, simulate_pod_trace_traced,
-    simulate_pod_trace_with_policy, simulate_pod_traced, simulate_pod_with_policy, ArrayConfig,
-    MappingPolicy, MemoryModel, PodConfig, PreemptionMode, ServingReport, ShardPlanner,
-    SpotCheckConfig,
+    simulate_pod_trace_with_policy, simulate_pod_traced, ArrayConfig, MappingPolicy, MemoryModel,
+    PodConfig, PreemptionMode, ServingReport, ShardPlanner, SpotCheckConfig,
 };
 pub use replay::{parse_trace, write_trace, ReplayEntry, TRACE_SCHEMA};
 pub use request::{

@@ -11,7 +11,7 @@
 //!   instantiates the matching implementation ([`FifoPolicy`],
 //!   [`CoalescingPolicy`], [`EdfPolicy`], [`WfqPolicy`]); custom
 //!   policies can implement the trait directly and run through
-//!   [`simulate_pod_with_policy`](crate::simulate_pod_with_policy).
+//!   [`simulate_pod_trace_with_policy`](crate::simulate_pod_trace_with_policy).
 //!
 //! Every built-in policy preserves **per-client FIFO**: a client's
 //! requests are never reordered against each other, no matter how the
@@ -191,8 +191,8 @@ impl AdmissionPolicy {
     /// Whether reviews under this policy read the service-estimate
     /// fields — lets the engine skip estimate construction entirely for
     /// [`AcceptAll`](AdmissionPolicy::AcceptAll) /
-    /// [`QueueCap`](AdmissionPolicy::QueueCap), keeping the accept-all
-    /// hot path bit-identical to the pre-admission engine.
+    /// [`QueueCap`](AdmissionPolicy::QueueCap), so their reviews never
+    /// touch the runtime model.
     pub fn needs_estimates(&self) -> bool {
         matches!(self, AdmissionPolicy::DeadlineInfeasible)
     }
