@@ -110,7 +110,7 @@ pub use router::{
     RoundRobinRouter, RouterPolicy, RoutingPolicy, SloAwareRouter,
 };
 pub use scheduler::{
-    AdmissionOutlook, AdmissionPolicy, Batch, CoalescingPolicy, EdfPolicy, FifoPolicy,
+    AdmissionOutlook, AdmissionPolicy, Batch, CoalescingPolicy, EdfPolicy, FifoPolicy, QueueIndex,
     SchedulerPolicy, SchedulingPolicy, ShedReason, WfqPolicy,
 };
 pub use trace::{
