@@ -252,6 +252,46 @@ pub struct PodMetrics {
 }
 
 impl PodMetrics {
+    /// The metrics `completions` alone determine: makespan, latency
+    /// summaries, SLO attainment, the per-class breakdown, and the
+    /// bandwidth-stall and energy sums of the records. The engine
+    /// counters (dispatches, preemptions, utilization, ...) are zero —
+    /// the pod engine overrides them with its own tallies.
+    pub(crate) fn from_completions(
+        completions: &[Completion],
+        shed: usize,
+        clock_mhz: f64,
+        arrays: usize,
+    ) -> Self {
+        let cs = completions;
+        let slo_met = cs.iter().filter(|c| c.met_deadline()).count();
+        PodMetrics {
+            completed: cs.len(),
+            makespan_cycles: cs.iter().map(|c| c.completion).max().unwrap_or(0),
+            clock_mhz,
+            queue: LatencySummary::from_cycles(cs.iter().map(|c| c.queue_cycles()).collect()),
+            service: LatencySummary::from_cycles(cs.iter().map(|c| c.service_cycles()).collect()),
+            total: LatencySummary::from_cycles(cs.iter().map(|c| c.total_cycles()).collect()),
+            per_array_utilization: vec![0.0; arrays],
+            batches: 0,
+            mean_batch_size: 0.0,
+            sharded_batches: 0,
+            sharding_refused: 0,
+            bandwidth_stall_cycles: cs.iter().map(|c| c.bandwidth_stall_cycles).sum(),
+            preemptions: 0,
+            inflight_joins: 0,
+            slo_met,
+            slo_violations: cs.len() - slo_met,
+            shed,
+            per_class: ClassMetrics::from_completions(cs),
+            array_energy_uj: cs.iter().map(|c| c.array_energy_uj).sum(),
+            dram_energy_mj: cs.iter().map(|c| c.dram_energy_mj).sum(),
+            checkpoint_dram_mj: 0.0,
+            spot_checks: 0,
+            spot_check_mismatches: 0,
+        }
+    }
+
     /// Seconds represented by `cycles` at the pod clock.
     pub fn seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_mhz * 1e6)
