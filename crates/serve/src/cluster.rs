@@ -677,10 +677,12 @@ impl<'a> ClusterEngine<'a> {
             .collect();
         self.reports[pi] = Some(report);
         self.affinity.retain(|_, &mut p| p != pi);
+        // One prune covers every refugee: a booking at `f` completes
+        // after `f` (service estimates are at least one cycle).
+        self.prune(f);
         for mut r in unfinished {
             r.arrival = r.arrival.max(f);
             self.n.rerouted += 1;
-            self.prune(f);
             let (to, shed) = self.route(r, f);
             self.emit(pi, || TraceEvent::Rerouted {
                 id: r.id,
