@@ -465,10 +465,10 @@ pub fn service_cycles(
 
 /// The candidate scale-out grids for `free_peers` idle identical
 /// arrays: every `pr x pc` using 2..=free_peers arrays, 4-way cap per
-/// dimension, in deterministic `(pr, pc)` order. Both planners score
-/// exactly this set, so their disagreement (the `sharding_refused`
-/// counter) always reflects a real divergence in scoring, never in
-/// candidates.
+/// dimension, in deterministic `(pr, pc)` order. Compute-only and
+/// contended scoring see exactly this set, so their disagreement (the
+/// `sharding_refused` counter) always reflects a real divergence in
+/// scoring, never in candidates.
 fn shard_grids(free_peers: usize) -> impl Iterator<Item = (usize, usize)> {
     let cap = free_peers.min(4);
     (1..=cap).flat_map(move |pr| {
@@ -479,113 +479,67 @@ fn shard_grids(free_peers: usize) -> impl Iterator<Item = (usize, usize)> {
     })
 }
 
-/// Picks the scale-out grid (and resulting cycles) for `shape` given
-/// `free_peers` idle identical arrays. Returns `(pr, pc, dataflow,
-/// cycles)`; `(1, 1, ..)` means no sharding pays off.
+/// Picks the scale-out grid for `shape` given `free_peers` idle
+/// identical arrays: the `1x1` no-shard plan and every candidate grid
+/// are scored, keeping the first strict improvement in canonical order.
+/// Returns `(pr, pc, dataflow, compute_cycles, refused)`; `(1, 1, ..)`
+/// means no sharding pays off.
+///
+/// With `contended` `None` a grid scores its compute cycles. With
+/// `Some((shared, co_running_weight))` it scores its *contended* finish
+/// time: the shared-DRAM fair-share estimate of its service time with
+/// the plan's own demand added to `co_running_weight` — exactly the
+/// arithmetic the pod bills with afterwards, evaluated under a frozen
+/// co-running set. A starved pod that cannot feed the duplicated
+/// operand streams of a scale-out grid therefore keeps the kernel on
+/// one array, and `refused` is true when compute-only scoring would
+/// have sharded wider — the event counted by
+/// [`PodMetrics::sharding_refused`](crate::PodMetrics).
 ///
 /// The whole plan is memoized on `(cfg, mapping, drain, shape,
-/// free_peers)` — every input the compute-only score reads — so warm
-/// calls replay the cold pass bit-for-bit. A cold pass scores the `1×1`
-/// baseline and every candidate grid, keeping the first strict
-/// improvement in canonical order.
+/// free_peers, co_running_weight)`. Beyond that key the contended
+/// score reads only `shared` and the clock, both fixed for the cache's
+/// one-pod lifetime, and `co_running_weight` fingerprints the bandwidth
+/// epoch (equal weight ⇒ identical fair-share arithmetic), so a replay
+/// is bit-identical to a cold pass.
 fn plan_sharding(
     cache: &mut ModelCache,
     cfg: &ArrayConfig,
-    mapping: MappingPolicy,
-    drain: DrainPolicy,
+    pod: &PodConfig,
     shape: GemmShape,
     free_peers: usize,
-) -> (usize, usize, Dataflow, usize) {
-    let key = (*cfg, mapping, drain, shape, free_peers);
+    contended: Option<(&SharedDram, usize)>,
+) -> Plan {
+    let (mapping, drain, clock_mhz) = (pod.mapping, pod.drain, pod.clock_mhz);
+    let key = (
+        *cfg,
+        mapping,
+        drain,
+        shape,
+        free_peers,
+        contended.map(|(_, w)| w),
+    );
     if let Some(&v) = cache.plans.get(&key) {
         cache.plan_stats.hits += 1;
         return v;
     }
     cache.plan_stats.misses += 1;
     let mut scored = 1u64;
-    let mut best = {
-        let (df, cycles) = cache.service_cycles(cfg, mapping, drain, Tiling::ScaleUp, shape);
-        (1usize, 1usize, df, cycles)
-    };
-    for (pr, pc) in shard_grids(free_peers) {
-        let tiling = Tiling::ScaleOut {
-            partitions_r: pr,
-            partitions_c: pc,
-        };
-        let (df, cycles) = cache.service_cycles(cfg, mapping, drain, tiling, shape);
-        scored += 1;
-        // Strict improvement required: idle arrays are better spent on
-        // the next queued batch than on marginal sharding gains.
-        if cycles < best.3 {
-            best = (pr, pc, df, cycles);
-        }
-    }
-    cache.plan_stats.grids_scored += scored;
-    cache.plans.insert(key, best);
-    best
-}
-
-/// Picks the scale-out grid by *contended* finish time: every candidate
-/// grid (the `1x1` no-shard plan included) is scored by the shared-DRAM
-/// fair-share estimate of its service time with the plan's own demand
-/// added to `co_running_weight` — exactly the arithmetic the pod bills
-/// with afterwards, evaluated under a frozen co-running set. A grid is
-/// taken only on strict improvement, so a starved pod that cannot feed
-/// the duplicated operand streams of a scale-out grid keeps the kernel
-/// on one array.
-///
-/// `pod` supplies the mapping, drain and clock. Returns `(pr, pc,
-/// dataflow, compute_cycles, refused)`; `refused` is true when the
-/// compute-only planner ([`plan_sharding`]) would have sharded wider
-/// than the contended choice — the event counted by
-/// [`PodMetrics::sharding_refused`](crate::PodMetrics).
-fn plan_sharding_contended(
-    cache: &mut ModelCache,
-    cfg: &ArrayConfig,
-    pod: &PodConfig,
-    shape: GemmShape,
-    free_peers: usize,
-    shared: &SharedDram,
-    co_running_weight: usize,
-) -> (usize, usize, Dataflow, usize, bool) {
-    let (mapping, drain, clock_mhz) = (pod.mapping, pod.drain, pod.clock_mhz);
-    // Whole-plan memo. Beyond the compute-only inputs the contended
-    // score reads only `shared`, `clock_mhz` (both fixed for this
-    // cache's lifetime — one pod loop) and the frozen co-running
-    // demand, so `co_running_weight` fingerprints the bandwidth epoch:
-    // equal weight ⇒ identical fair-share arithmetic ⇒ identical plan.
-    let plan_key = (*cfg, mapping, drain, shape, free_peers, co_running_weight);
-    if let Some(&v) = cache.plans_contended.get(&plan_key) {
-        cache.plan_stats.hits += 1;
-        return v;
-    }
-    cache.plan_stats.misses += 1;
-    let mut scored = 1u64;
-    // Full enumeration: no dominance prune is sound here. The contended
-    // estimate is NOT monotone in the grid: a `pr × pc` plan duplicates
-    // operands (`A` moves `pc` times, `B` moves `pr` times), so traffic
-    // grows with the grid perimeter while compute shrinks, and a
-    // dominated grid can strictly beat its dominator on a
-    // bandwidth-starved pod.
-    //
-    // The no-shard candidate is billed as its per-tile walk, so estimate
-    // it the same way (final drain is bandwidth-independent).
+    // Full enumeration: no dominance prune is sound under contention.
+    // The contended estimate is NOT monotone in the grid: a `pr × pc`
+    // plan duplicates operands (`A` moves `pc` times, `B` moves `pr`
+    // times), so traffic grows with the grid perimeter while compute
+    // shrinks, and a dominated grid can strictly beat its dominator on
+    // a bandwidth-starved pod.
     let (df1, cycles1) = cache.service_cycles(cfg, mapping, drain, Tiling::ScaleUp, shape);
-    let est1_key = (*cfg, drain, df1, shape, co_running_weight);
-    let est1 = match cache.contended_est.get(&est1_key) {
-        Some(&e) => e,
-        None => {
-            let e = {
-                let sched = cache.schedule(cfg, drain, df1, shape);
-                shared.schedule_cycles(
-                    clock_mhz,
-                    sched.tiles.iter().map(|t| (t.cycles, t.dram_bytes)),
-                    1,
-                    co_running_weight + 1,
-                ) + sched.final_drain
-            };
-            cache.contended_est.insert(est1_key, e);
-            e
+    let est1 = match contended {
+        None => cycles1 as u64,
+        // The no-shard plan is billed as its per-tile walk, so estimate
+        // it the same way (the final drain is bandwidth-independent).
+        Some((shared, co_w)) => {
+            let sched = cache.schedule(cfg, drain, df1, shape);
+            let legs = sched.tiles.iter().map(|t| (t.cycles, t.dram_bytes));
+            shared.schedule_cycles(clock_mhz, legs, 1, co_w + 1) + sched.final_drain
         }
     };
     let mut best = (1usize, 1usize, df1, cycles1);
@@ -599,16 +553,21 @@ fn plan_sharding_contended(
         };
         let (df, cycles) = cache.service_cycles(cfg, mapping, drain, tiling, shape);
         scored += 1;
-        // A sharded job is billed as one opaque leg carrying the
-        // grid's full (duplicated) traffic at grid weight: the
-        // estimate is that exact roofline.
-        let est = shared.leg_cycles(
-            clock_mhz,
-            cycles as u64,
-            dispatch_dram_bytes(shape, pr, pc),
-            arrays,
-            co_running_weight + arrays,
-        );
+        let est = match contended {
+            None => cycles as u64,
+            // A sharded job is billed as one opaque leg carrying the
+            // grid's full (duplicated) traffic at grid weight: the
+            // estimate is that exact roofline.
+            Some((shared, co_w)) => shared.leg_cycles(
+                clock_mhz,
+                cycles as u64,
+                dispatch_dram_bytes(shape, pr, pc),
+                arrays,
+                co_w + arrays,
+            ),
+        };
+        // Strict improvement required: idle arrays are better spent on
+        // the next queued batch than on marginal sharding gains.
         if est < best_est {
             best = (pr, pc, df, cycles);
             best_est = est;
@@ -620,7 +579,7 @@ fn plan_sharding_contended(
     let refused = best_compute.0 > best.0 * best.1;
     let v = (best.0, best.1, best.2, best.3, refused);
     cache.plan_stats.grids_scored += scored;
-    cache.plans_contended.insert(plan_key, v);
+    cache.plans.insert(key, v);
     v
 }
 
@@ -650,6 +609,17 @@ fn plan_tiles(
         .tile_schedule(cfg.arch, shape, dispatch_dram_bytes(shape, 1, 1))
 }
 
+/// Total cycles of the [`plan_tiles`] walk, without materializing it:
+/// the closed-form exact-edge runtime equals `TileSchedule::
+/// total_cycles` for the same spec by construction (the schedule *is*
+/// that accounting, phase by phase — pinned by
+/// `schedule_total_matches_walk`), so the join path bills shape deltas
+/// off an O(1) model evaluation per probed shape.
+fn schedule_total(cfg: &ArrayConfig, drain: DrainPolicy, df: Dataflow, shape: GemmShape) -> u64 {
+    let fixed = MappingPolicy::Fixed(df);
+    service_cycles(cfg, fixed, drain, Tiling::ScaleUp, shape).1 as u64
+}
+
 /// One memoized tile schedule: the walk (behind an `Arc`, so dispatch
 /// hands jobs a shared reference instead of cloning thousands of
 /// phases), its final drain, and the pre-summed cycle total.
@@ -660,86 +630,28 @@ struct CachedSchedule {
     total: u64,
 }
 
-/// Cross-pod second-level model cache: exactly the slices of
-/// [`ModelCache`] that are *pure functions of their full key* —
-/// service cycles, tile walks and walk totals. Pods replaying within
-/// one cluster run (one sweep point) share a single instance so a
-/// shape modeled by one pod is never re-walked by another.
-///
-/// Determinism argument: every cached value is a pure function of its
-/// key (`service_cycles` / `plan_tiles` read nothing else), so *which*
-/// thread publishes an entry first is timing-dependent but the
-/// published value is not — every reader observes the bit-identical
-/// value a loop-local evaluation would produce. Pinned by
-/// `shared_model_cache_is_bit_identical` in `cluster.rs`. The
-/// contended-planner maps stay loop-local: their values read the pod's
-/// own [`SharedDram`] law and clock, which differ across pods.
-#[derive(Debug, Default)]
-pub(crate) struct SharedModelCache(std::sync::Mutex<SharedModelState>);
-
-#[derive(Debug, Default)]
-struct SharedModelState {
-    service: HashMap<ServiceKey, (Dataflow, usize)>,
-    tiles: HashMap<ScheduleKey, CachedSchedule>,
-    totals: HashMap<ScheduleKey, u64>,
-}
-
-impl SharedModelCache {
-    fn lock(&self) -> std::sync::MutexGuard<'_, SharedModelState> {
-        // Model evaluation can't panic mid-insert in a way that leaves
-        // a torn value (inserts are single HashMap writes of Copy/Arc
-        // data), so a poisoned lock still guards coherent state.
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Per-run memo table for the analytical runtime model — the engine's
-/// dominant cost. [`service_cycles`] and [`plan_tiles`] are pure
-/// functions of their arguments (exact-edge accounting walks every tile
-/// of the shape, O(M·K·N / array volume) per call), and serving traffic
-/// draws from a handful of distinct shapes, so the pod loop evaluates
-/// each distinct key once and replays the stored result. Replayed
-/// values are bit-identical to fresh evaluations by purity — the
-/// differential harness (`tests/differential.rs`) pins exactly this.
-///
-/// The cache is run-local (created per [`PodEngine`]): no state
-/// leaks across runs, so determinism per `(pod, traffic)` pair is
-/// untouched. An optional [`SharedModelCache`] second level (cluster
-/// replays) is consulted on local misses of the pure slices; see its
-/// determinism argument.
+/// Per-run memo table for the analytical runtime model. The model is
+/// closed-form, O(1) per call; only the memos that measurably pay are
+/// kept. The cache is run-local (created per [`PodEngine`]), so no
+/// state leaks across runs, and every memoized value is a pure function
+/// of its full key, so a replay is bit-identical to a fresh evaluation
+/// — the differential harness (`tests/differential.rs`) pins exactly
+/// this.
 #[derive(Debug, Default)]
 struct ModelCache {
-    /// Cross-pod L2 for the pure slices; `None` outside cluster
-    /// replays.
-    shared: Option<Arc<SharedModelCache>>,
     /// `(cfg, mapping, drain, tiling, shape)` → the chosen dataflow and
-    /// modeled cycles.
+    /// modeled cycles. Measured: removing it cost 8.0% `pod_steady` and
+    /// 8.7% `cluster_bursty` req/wall-s in `perfbench` (medians of 6
+    /// alternating 5 s pairs, 2-vCPU x86 host).
     service: HashMap<ServiceKey, (Dataflow, usize)>,
-    /// `(cfg, drain, dataflow, shape)` → the exact-edge tile walk.
+    /// `(cfg, drain, dataflow, shape)` → the exact-edge tile walk. A
+    /// walk allocates a phase per tile; the memo builds each one once
+    /// and hands every job of that shape a shared `Arc`.
     tiles: HashMap<ScheduleKey, CachedSchedule>,
-    /// `(cfg, drain, dataflow, shape)` → the walk's cycle total alone,
-    /// computed from the closed-form runtime model in O(1) — the join
-    /// path bills shape deltas off totals and must not pay for (or
-    /// allocate) a full tile walk per probed shape.
-    totals: HashMap<ScheduleKey, u64>,
-    /// `(cfg, drain, dataflow, shape, co_running_weight)` → the
-    /// contended no-shard estimate of [`plan_sharding_contended`]
-    /// (a full [`SharedDram::schedule_cycles`] walk over the tile
-    /// schedule, the planner's most expensive probe).
-    contended_est: HashMap<ContendedKey, u64>,
-    /// Whole-plan memo of [`plan_sharding`]: key → `(pr, pc, dataflow,
-    /// cycles)`. Every planner input is in the key — the compute-only
-    /// score depends on nothing else — so a replay is bit-identical to
-    /// a cold pass by purity.
-    plans: HashMap<PlanKey, (usize, usize, Dataflow, usize)>,
-    /// Whole-plan memo of [`plan_sharding_contended`]. The contended
-    /// score additionally reads the pod's [`SharedDram`] law and clock
-    /// (fixed for this cache's per-loop lifetime) and the co-running
-    /// demand at decision time; `co_running_weight` is that bandwidth
-    /// epoch's fingerprint — two decisions with equal weight see
-    /// identical fair-share arithmetic, whatever jobs compose the
-    /// weight.
-    plans_contended: HashMap<PlanContendedKey, (usize, usize, Dataflow, usize, bool)>,
+    /// Whole-plan memo of [`plan_sharding`], keyed on every input its
+    /// score reads. Its hit/miss/grids-scored counters feed
+    /// [`TraceSink::planner_stats`], which `perfbench` reports.
+    plans: HashMap<PlanKey, Plan>,
     /// Plan-cache traffic, surfaced once per loop through
     /// [`TraceSink::planner_stats`].
     plan_stats: PlanStats,
@@ -747,16 +659,18 @@ struct ModelCache {
 
 type ServiceKey = (ArrayConfig, MappingPolicy, DrainPolicy, Tiling, GemmShape);
 type ScheduleKey = (ArrayConfig, DrainPolicy, Dataflow, GemmShape);
-type ContendedKey = (ArrayConfig, DrainPolicy, Dataflow, GemmShape, usize);
-type PlanKey = (ArrayConfig, MappingPolicy, DrainPolicy, GemmShape, usize);
-type PlanContendedKey = (
+/// `(cfg, mapping, drain, shape, free_peers, co_running_weight)`; the
+/// weight is `None` for compute-only scoring.
+type PlanKey = (
     ArrayConfig,
     MappingPolicy,
     DrainPolicy,
     GemmShape,
     usize,
-    usize,
+    Option<usize>,
 );
+/// `(pr, pc, dataflow, compute_cycles, refused)`.
+type Plan = (usize, usize, Dataflow, usize, bool);
 
 /// Counters of the dispatch-plan cache: replayed plans (`hits`), cold
 /// planner passes (`misses`), and candidate plans probed against the
@@ -787,21 +701,10 @@ impl ModelCache {
         tiling: Tiling,
         shape: GemmShape,
     ) -> (Dataflow, usize) {
-        let key = (*cfg, mapping, drain, tiling, shape);
-        if let Some(&v) = self.service.get(&key) {
-            return v;
-        }
-        let v = match &self.shared {
-            Some(l2) => {
-                let mut g = l2.lock();
-                *g.service
-                    .entry(key)
-                    .or_insert_with(|| service_cycles(cfg, mapping, drain, tiling, shape))
-            }
-            None => service_cycles(cfg, mapping, drain, tiling, shape),
-        };
-        self.service.insert(key, v);
-        v
+        *self
+            .service
+            .entry((*cfg, mapping, drain, tiling, shape))
+            .or_insert_with(|| service_cycles(cfg, mapping, drain, tiling, shape))
     }
 
     fn schedule(
@@ -811,61 +714,16 @@ impl ModelCache {
         df: Dataflow,
         shape: GemmShape,
     ) -> &CachedSchedule {
-        let key = (*cfg, drain, df, shape);
-        if !self.tiles.contains_key(&key) {
-            let build = || {
+        self.tiles
+            .entry((*cfg, drain, df, shape))
+            .or_insert_with(|| {
                 let sched = plan_tiles(cfg, drain, df, shape);
                 CachedSchedule {
                     total: sched.total_cycles(),
                     tiles: Arc::new(sched.tiles),
                     final_drain: sched.final_drain,
                 }
-            };
-            let v = match &self.shared {
-                // The walk itself rides the L2 `Arc`: pods share one
-                // allocation per distinct schedule.
-                Some(l2) => l2.lock().tiles.entry(key).or_insert_with(build).clone(),
-                None => build(),
-            };
-            self.tiles.insert(key, v);
-        }
-        &self.tiles[&key]
-    }
-
-    /// Total cycles of the tile walk, without materializing it: the
-    /// closed-form exact-edge runtime equals `TileSchedule::
-    /// total_cycles` for the same spec by construction (the schedule
-    /// *is* that accounting, phase by phase — pinned by
-    /// `schedule_total_matches_walk`), so the join path bills shape
-    /// deltas off an O(1) model evaluation per distinct shape.
-    fn schedule_total(
-        &mut self,
-        cfg: &ArrayConfig,
-        drain: DrainPolicy,
-        df: Dataflow,
-        shape: GemmShape,
-    ) -> u64 {
-        let key = (*cfg, drain, df, shape);
-        if let Some(&t) = self.totals.get(&key) {
-            return t;
-        }
-        let closed_form = || {
-            RuntimeSpec::new(cfg.array, df)
-                .with_accounting(Accounting::ExactEdges)
-                .with_drain(drain)
-                .with_tiling(Tiling::ScaleUp)
-                .runtime(cfg.arch, shape)
-                .cycles as u64
-        };
-        let t = match self.tiles.get(&key) {
-            Some(s) => s.total,
-            None => match &self.shared {
-                Some(l2) => *l2.lock().totals.entry(key).or_insert_with(closed_form),
-                None => closed_form(),
-            },
-        };
-        self.totals.insert(key, t);
-        t
+            })
     }
 }
 
@@ -1006,7 +864,9 @@ fn rest_of(tiles: &[TilePhase], from: usize) -> BTreeMap<(u64, u64), usize> {
 /// bandwidth epoch are fixed, and a walk only ever sees the few
 /// distinct keys of its schedule, so replayed values are bit-identical
 /// to fresh evaluations while skipping the roofline arithmetic per
-/// tile crossed.
+/// tile crossed. Measured: without it, single 3 s `perfbench`
+/// `pod_steady` runs fell from 36.9k and 33.9k to 25.7k and 22.4k
+/// req/wall-s (2-vCPU x86 host).
 #[derive(Debug, Default)]
 struct PhaseTimeMemo {
     entries: [Option<((u64, u64), u64)>; 8],
@@ -1425,7 +1285,7 @@ pub fn simulate_pod_traced(
     sink: &mut dyn TraceSink,
 ) -> ServingReport {
     let mut policy = pod.scheduler.build(&pod.client_weights);
-    PodEngine::new(pod, Input::Traffic(traffic), policy.as_mut(), sink, 0, None).run()
+    PodEngine::new(pod, Input::Traffic(traffic), policy.as_mut(), sink, 0).run()
 }
 
 /// Runs an explicit, already-generated request trace through `pod`
@@ -1464,7 +1324,7 @@ pub fn simulate_pod_trace_traced(
     sink: &mut dyn TraceSink,
 ) -> ServingReport {
     let mut policy = pod.scheduler.build(&pod.client_weights);
-    PodEngine::new(pod, Input::Trace(trace), policy.as_mut(), sink, 0, None).run()
+    PodEngine::new(pod, Input::Trace(trace), policy.as_mut(), sink, 0).run()
 }
 
 /// [`simulate_pod_trace`] with an externally supplied queue discipline
@@ -1478,7 +1338,7 @@ pub fn simulate_pod_trace_with_policy(
     trace: &[Request],
     policy: &mut dyn SchedulingPolicy,
 ) -> ServingReport {
-    PodEngine::new(pod, Input::Trace(trace), policy, &mut NullSink, 0, None).run()
+    PodEngine::new(pod, Input::Trace(trace), policy, &mut NullSink, 0).run()
 }
 
 /// Where a pod run's requests come from.
@@ -1566,15 +1426,13 @@ pub(crate) struct PodEngine<'a> {
 
 impl<'a> PodEngine<'a> {
     /// A pod at cycle 0 with `input` pending. `pod_id` stamps every
-    /// event; `shared_models` backs the model cache with a fleet-wide
-    /// L2 (cluster replays).
+    /// event.
     pub(crate) fn new(
         pod: &'a PodConfig,
         input: Input<'_>,
         policy: &'a mut dyn SchedulingPolicy,
         sink: &'a mut dyn TraceSink,
         pod_id: usize,
-        shared_models: Option<Arc<SharedModelCache>>,
     ) -> Self {
         assert!(!pod.arrays.is_empty(), "a pod needs at least one array");
         let (trace, reissue) = match input {
@@ -1603,10 +1461,7 @@ impl<'a> PodEngine<'a> {
             policy,
             out: Tracer { sink, pod_id },
             timing: MemTiming::new(pod),
-            models: ModelCache {
-                shared: shared_models,
-                ..ModelCache::default()
-            },
+            models: ModelCache::default(),
             events: EventHeap::default(),
             // Bucketed arrival structure; pops in exact `(arrival, id)`
             // order, matching the reference engine's heap key (see
@@ -2048,32 +1903,23 @@ impl<'a> PodEngine<'a> {
                     .service_cycles(cfg, pod.mapping, pod.drain, Tiling::ScaleUp, shape);
             return (1, 1, df, cycles);
         }
-        match (&self.timing.shared, pod.planner) {
-            // Bandwidth-aware: score grids by contended finish time
-            // under the co-running demand and refuse scale-out a
-            // starved pod cannot feed.
+        // Bandwidth-aware scoring reads the co-running demand;
+        // compute-only scoring is the pre-contention planner (and the
+        // only sensible one when streaming is free).
+        let contended = match (&self.timing.shared, pod.planner) {
             (Some(shared), ShardPlanner::BandwidthAware) => {
-                let co_running = self.running.iter().map(|j| j.weight()).sum();
-                let (pr, pc, df, cycles, refused) = plan_sharding_contended(
-                    &mut self.models,
-                    cfg,
-                    pod,
-                    shape,
-                    peers,
-                    shared,
-                    co_running,
-                );
-                if refused {
-                    self.n.sharding_refused += 1;
-                    let (seq, cycle) = (self.n.batches, self.now);
-                    self.out.emit(|| TraceEvent::ShardRefused { seq, cycle });
-                }
-                (pr, pc, df, cycles)
+                Some((shared, self.running.iter().map(|j| j.weight()).sum()))
             }
-            // Compute-only scoring: the pre-contention planner (and the
-            // only sensible one when streaming is free).
-            _ => plan_sharding(&mut self.models, cfg, pod.mapping, pod.drain, shape, peers),
+            _ => None,
+        };
+        let (pr, pc, df, cycles, refused) =
+            plan_sharding(&mut self.models, cfg, pod, shape, peers, contended);
+        if refused {
+            self.n.sharding_refused += 1;
+            let (seq, cycle) = (self.n.batches, self.now);
+            self.out.emit(|| TraceEvent::ShardRefused { seq, cycle });
         }
+        (pr, pc, df, cycles)
     }
 
     /// Optional cycle-accurate validation of a scale-up dispatch's
@@ -2143,9 +1989,8 @@ impl<'a> PodEngine<'a> {
             // appended to its last tile.
             let old_shape = job.batch.shape;
             let new_shape = coalesced_shape(key, job.batch.requests.len() + 1);
-            let models = &mut self.models;
-            let old_total = models.schedule_total(&job.cfg, pod.drain, job.dataflow, old_shape);
-            let new_total = models.schedule_total(&job.cfg, pod.drain, job.dataflow, new_shape);
+            let old_total = schedule_total(&job.cfg, pod.drain, job.dataflow, old_shape);
+            let new_total = schedule_total(&job.cfg, pod.drain, job.dataflow, new_shape);
             let delta = new_total.saturating_sub(old_total);
             let delta_bytes = dispatch_dram_bytes(new_shape, 1, 1)
                 .saturating_sub(dispatch_dram_bytes(old_shape, 1, 1));
@@ -2411,11 +2256,10 @@ mod tests {
         PodConfig::homogeneous(2, arch, 16)
     }
 
-    /// `ModelCache::schedule_total` answers from the closed-form
-    /// runtime model when no tile walk is cached; that value must equal
-    /// `TileSchedule::total_cycles()` of the walk it stands in for,
-    /// bit-for-bit, or join-path shape deltas drift off dispatch
-    /// billing.
+    /// `schedule_total` answers from the closed-form runtime model;
+    /// that value must equal `TileSchedule::total_cycles()` of the walk
+    /// it stands in for, bit-for-bit, or join-path shape deltas drift
+    /// off dispatch billing.
     #[test]
     fn schedule_total_matches_walk() {
         for (arch, side) in [
@@ -2436,8 +2280,7 @@ mod tests {
                         GemmShape::new(3, 3, 3),
                         GemmShape::new(640, 640, 1),
                     ] {
-                        let mut cache = ModelCache::default();
-                        let closed = cache.schedule_total(&cfg, drain, df, shape);
+                        let closed = schedule_total(&cfg, drain, df, shape);
                         let walk = plan_tiles(&cfg, drain, df, shape).total_cycles();
                         assert_eq!(closed, walk, "{arch:?} {side} {drain:?} {df:?} {shape}");
                     }
@@ -2472,8 +2315,8 @@ mod tests {
 
         /// Warm plan-cache answers must equal a fresh cold planner's,
         /// bit for bit, across random shapes, free-peer counts and
-        /// bandwidth epochs (`co_running_weight`) — for both the
-        /// compute-only and the contended planner. Each case derives a
+        /// bandwidth epochs (`co_running_weight`) — with compute-only
+        /// (`None`) and contended (`Some`) scoring. Each case derives a
         /// query stream from a *small* shape pool with a seeded
         /// xorshift, so queries repeat and the warm cache genuinely
         /// answers from memo entries.
@@ -2511,16 +2354,13 @@ mod tests {
                 let shape = shapes[rng(shapes.len())];
                 let free_peers = rng(9);
                 let co_w = rng(6);
-                let mut cold = ModelCache::default();
-                prop_assert_eq!(
-                    plan_sharding(&mut warm, &cfg, mapping, drain, shape, free_peers),
-                    plan_sharding(&mut cold, &cfg, mapping, drain, shape, free_peers),
-                );
-                let mut cold = ModelCache::default();
-                prop_assert_eq!(
-                    plan_sharding_contended(&mut warm, &cfg, &pod, shape, free_peers, &shared, co_w),
-                    plan_sharding_contended(&mut cold, &cfg, &pod, shape, free_peers, &shared, co_w),
-                );
+                for contended in [None, Some((&shared, co_w))] {
+                    let mut cold = ModelCache::default();
+                    prop_assert_eq!(
+                        plan_sharding(&mut warm, &cfg, &pod, shape, free_peers, contended),
+                        plan_sharding(&mut cold, &cfg, &pod, shape, free_peers, contended),
+                    );
+                }
             }
         }
     }

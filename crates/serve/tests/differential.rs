@@ -378,13 +378,13 @@ fn trace_driven_arrival_models_match_reference() {
     }
 }
 
-/// Multi-pod cluster replay with the fleet-wide shared `ModelCache`
-/// (the public entry point always shares): every pod's report and event
-/// stream must equal the frozen reference engine run on exactly the
-/// sub-trace the router assigned that pod — recovered here from the
-/// `Routed` events, which the routing pass records in trace order.
+/// Multi-pod cluster replay, each pod on its own threaded replay:
+/// every pod's report and event stream must equal the frozen reference
+/// engine run on exactly the sub-trace the router assigned that pod —
+/// recovered here from the `Routed` events, which the routing pass
+/// records in trace order.
 #[test]
-fn multi_pod_shared_cache_cluster_matches_reference_per_pod() {
+fn multi_pod_cluster_matches_reference_per_pod() {
     let pods = vec![
         ClusterPodConfig::new(matrix_pod(
             SchedulerPolicy::Continuous { max_batch: 4 },
