@@ -640,9 +640,10 @@ struct CachedSchedule {
 #[derive(Debug, Default)]
 struct ModelCache {
     /// `(cfg, mapping, drain, tiling, shape)` → the chosen dataflow and
-    /// modeled cycles. Measured: removing it cost 8.0% `pod_steady` and
-    /// 8.7% `cluster_bursty` req/wall-s in `perfbench` (medians of 6
-    /// alternating 5 s pairs, 2-vCPU x86 host).
+    /// modeled cycles. Measured in `perfbench` on a 2-vCPU x86 host:
+    /// removing it cost `pod_steady` 12.1% req/wall-s (median of 10
+    /// alternating 10 s pairs, the memo winning 8): every dispatch,
+    /// planner probe, admission estimate and preemption check asks it.
     service: HashMap<ServiceKey, (Dataflow, usize)>,
     /// `(cfg, drain, dataflow, shape)` → the exact-edge tile walk. A
     /// walk allocates a phase per tile; the memo builds each one once
@@ -864,9 +865,9 @@ fn rest_of(tiles: &[TilePhase], from: usize) -> BTreeMap<(u64, u64), usize> {
 /// bandwidth epoch are fixed, and a walk only ever sees the few
 /// distinct keys of its schedule, so replayed values are bit-identical
 /// to fresh evaluations while skipping the roofline arithmetic per
-/// tile crossed. Measured: without it, single 3 s `perfbench`
-/// `pod_steady` runs fell from 36.9k and 33.9k to 25.7k and 22.4k
-/// req/wall-s (2-vCPU x86 host).
+/// tile crossed. Measured in `perfbench` on a 2-vCPU x86 host: with
+/// its lookups disabled, `pod_steady` lost 35.6% req/wall-s (median of
+/// 5 alternating 5 s pairs, the memo winning all 5).
 #[derive(Debug, Default)]
 struct PhaseTimeMemo {
     entries: [Option<((u64, u64), u64)>; 8],
@@ -2289,7 +2290,7 @@ mod tests {
         }
     }
 
-    /// The candidate-grid enumeration behind both planners: canonical
+    /// The candidate-grid enumeration behind both scorings: canonical
     /// strictly-increasing `(pr, pc)` order, no duplicates, and exactly
     /// the divisor-complete set `{pr, pc ≤ 4, 2 ≤ pr·pc ≤ free_peers}`
     /// (for `free_peers ≤ 4` the per-dimension cap is implied by the
