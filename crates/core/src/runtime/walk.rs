@@ -2,6 +2,7 @@
 
 use super::{Architecture, DrainPolicy, RuntimeSpec, TilePhase};
 use crate::shape::GemmShape;
+use std::cell::Cell;
 use std::ops::Range;
 
 /// Row spans up to this many full-height rows split their right-edge
@@ -41,6 +42,9 @@ pub struct TileWalk {
     bytes: u64,
     /// Total PE area `A` (at least 1).
     area: u128,
+    /// `q` per tile size: the bytes every tile of that size carries at
+    /// least, `floor(B·a / A)` of its area `a`.
+    quanta: [u64; 4],
     /// Whether `B·A` fits in u64, so `F` can take the u64 path.
     narrow: bool,
     /// Drain cycles billed after the last tile.
@@ -127,7 +131,7 @@ impl TileWalk {
         let narrow = (bytes as u128)
             .checked_mul(area)
             .is_some_and(|p| p <= u64::MAX as u128);
-        TileWalk {
+        let mut walk = TileWalk {
             nr,
             nc,
             heights,
@@ -135,9 +139,12 @@ impl TileWalk {
             cycles,
             bytes,
             area,
+            quanta: [0; 4],
             narrow,
             final_drain,
-        }
+        };
+        walk.quanta = std::array::from_fn(|k| walk.floor((heights[k / 2] * widths[k % 2]) as u128));
+        walk
     }
 
     /// A walk of one opaque phase of `cycles` carrying `dram_bytes`, with
@@ -198,24 +205,19 @@ impl TileWalk {
     /// # Panics
     ///
     /// Panics if `range` ends past the walk.
-    pub fn sum(&self, range: Range<usize>, f: impl FnMut(u64, u64) -> u64) -> u64 {
+    pub fn sum(&self, range: Range<usize>, f: impl Fn(u64, u64) -> u64) -> u64 {
         self.priced(f).sum(range)
     }
 
-    /// Prices every tile size of the walk through `f` once per byte
-    /// count it can carry (at most eight calls), so that repeated range
-    /// sums under the same cost skip `f` entirely.
-    pub fn priced(&self, mut f: impl FnMut(u64, u64) -> u64) -> PricedWalk<'_> {
-        let mut prices = [[0; 2]; 4];
-        for (k, price) in prices.iter_mut().enumerate() {
-            let (last_row, last_col) = (k / 2 == 1, k % 2 == 1);
-            let exists = (last_row || self.nr > 1) && (last_col || self.nc > 1);
-            if exists && self.class(k / 2, k % 2) == k {
-                let q = self.quantum(k);
-                *price = [f(self.cycles[k], q), f(self.cycles[k], q + 1)];
-            }
+    /// The walk under the per-tile cost `f`, for repeated range sums: each
+    /// tile size is priced at most once per byte count it can carry (at
+    /// most eight calls of `f` in all), the first time a sum needs it.
+    pub fn priced<F: Fn(u64, u64) -> u64>(&self, f: F) -> PricedWalk<'_, F> {
+        PricedWalk {
+            walk: self,
+            f,
+            prices: Default::default(),
         }
-        PricedWalk { walk: self, prices }
     }
 
     /// Whether the right-edge column differs in size from the rest, so
@@ -229,12 +231,6 @@ impl TileWalk {
     /// the two have the same size.
     fn class(&self, lr: usize, lc: usize) -> usize {
         2 * lr + (lc | usize::from(!self.edge_differs()))
-    }
-
-    /// `q` of size `k`: the bytes every tile of that size carries at
-    /// least.
-    fn quantum(&self, k: usize) -> u64 {
-        self.floor((self.heights[k / 2] * self.widths[k % 2]) as u128)
     }
 
     /// `F(x) = floor(B·x / A)`, the cumulative bytes through area `x`,
@@ -331,17 +327,34 @@ impl TileWalk {
     }
 }
 
-/// A [`TileWalk`] with every tile size priced under one cost function;
-/// built by [`TileWalk::priced`].
-#[derive(Debug, Clone, Copy)]
-pub struct PricedWalk<'w> {
+/// A [`TileWalk`] under one per-tile cost function, built by
+/// [`TileWalk::priced`].
+#[derive(Debug)]
+pub struct PricedWalk<'w, F> {
     walk: &'w TileWalk,
-    /// Cost of a tile per size index, carrying `q` and `q + 1` bytes.
-    prices: [[u64; 2]; 4],
+    f: F,
+    /// Cost of a tile per size index, carrying `q` and `q + 1` bytes;
+    /// `None` until first needed.
+    prices: [[Cell<Option<u64>>; 2]; 4],
 }
 
-impl PricedWalk<'_> {
+impl<F: Fn(u64, u64) -> u64> PricedWalk<'_, F> {
+    /// Cost of a tile of size index `k` carrying `q + extra` bytes.
+    fn price(&self, k: usize, extra: u64) -> u64 {
+        let cell = &self.prices[k][extra as usize];
+        cell.get().unwrap_or_else(|| {
+            let w = self.walk;
+            let v = (self.f)(w.cycles[k], w.quanta[k] + extra);
+            cell.set(Some(v));
+            v
+        })
+    }
+
     /// Cost of tile `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()` of the walk.
     pub fn tile(&self, i: usize) -> u64 {
         let w = self.walk;
         let t = w.tile(i);
@@ -350,7 +363,7 @@ impl PricedWalk<'_> {
             usize::from(i % w.nc + 1 == w.nc),
         );
         let k = w.class(lr, lc);
-        self.prices[k][(t.dram_bytes - w.quantum(k)) as usize]
+        self.price(k, t.dram_bytes - w.quanta[k])
     }
 
     /// Total cost of the tiles in `range`.
@@ -360,15 +373,17 @@ impl PricedWalk<'_> {
     /// Panics if `range` ends past the walk.
     pub fn sum(&self, range: Range<usize>) -> u64 {
         let w = self.walk;
-        w.split(range)
-            .iter()
-            .enumerate()
-            .filter(|(_, &(n, _))| n > 0)
-            .map(|(k, &(n, bytes))| {
-                let hi = bytes - w.quantum(k) * n;
-                (n - hi) * self.prices[k][0] + hi * self.prices[k][1]
-            })
-            .sum()
+        let mut total = 0;
+        for (k, &(n, bytes)) in w.split(range).iter().enumerate() {
+            let hi = bytes - w.quanta[k] * n;
+            if n > hi {
+                total += (n - hi) * self.price(k, 0);
+            }
+            if hi > 0 {
+                total += hi * self.price(k, 1);
+            }
+        }
+        total
     }
 }
 
