@@ -186,17 +186,23 @@ impl TileWalk {
     ///
     /// Panics if `i >= self.len()`.
     pub fn tile(&self, i: usize) -> TilePhase {
+        self.locate(i).1
+    }
+
+    /// Tile `i` with its size index, `2 * last_row + last_col`.
+    fn locate(&self, i: usize) -> (usize, TilePhase) {
         assert!(i < self.len(), "tile {i} of a {}-tile walk", self.len());
         let (r, c) = (i / self.nc, i % self.nc);
         let (lr, lc) = (usize::from(r + 1 == self.nr), usize::from(c + 1 == self.nc));
         let (rows, cols) = (self.heights[lr], self.widths[lc]);
         let before = self.area_before(r, c);
-        TilePhase {
+        let tile = TilePhase {
             rows,
             cols,
             cycles: self.cycles[2 * lr + lc],
             dram_bytes: self.floor(before + (rows * cols) as u128) - self.floor(before),
-        }
+        };
+        (2 * lr + lc, tile)
     }
 
     /// `Σ f(cycles, dram_bytes)` over the tiles in `range`, calling `f`
@@ -226,11 +232,11 @@ impl TileWalk {
         self.nc > 1 && self.widths[1] != self.widths[0]
     }
 
-    /// The size index that tiles of row class `lr` and column class `lc`
-    /// are counted under: full-width tiles fold into the right edge when
-    /// the two have the same size.
-    fn class(&self, lr: usize, lc: usize) -> usize {
-        2 * lr + (lc | usize::from(!self.edge_differs()))
+    /// The size index that tiles of size index `k` are counted under:
+    /// full-width tiles fold into the right edge when the two have the
+    /// same size.
+    fn class(&self, k: usize) -> usize {
+        k | usize::from(!self.edge_differs())
     }
 
     /// `F(x) = floor(B·x / A)`, the cumulative bytes through area `x`,
@@ -300,7 +306,7 @@ impl TileWalk {
                 out[2] = (n - 1, total - corner);
                 out[3] = (1, corner);
             } else {
-                out[self.class(1, 0)] = (n, total);
+                out[self.class(2)] = (n, total);
             }
         }
         out
@@ -357,12 +363,8 @@ impl<F: Fn(u64, u64) -> u64> PricedWalk<'_, F> {
     /// Panics if `i >= self.len()` of the walk.
     pub fn tile(&self, i: usize) -> u64 {
         let w = self.walk;
-        let t = w.tile(i);
-        let (lr, lc) = (
-            usize::from(i / w.nc + 1 == w.nr),
-            usize::from(i % w.nc + 1 == w.nc),
-        );
-        let k = w.class(lr, lc);
+        let (k, t) = w.locate(i);
+        let k = w.class(k);
         self.price(k, t.dram_bytes - w.quanta[k])
     }
 
