@@ -867,30 +867,28 @@ struct PhaseTimes<'j, F> {
 }
 
 impl<F: Fn(u64, u64) -> u64> PhaseTimes<'_, F> {
-    /// Extra duration the overrides add to tile `i` over its walk
-    /// price: the join growth on the last tile, the refill on the
-    /// refill tile.
-    fn bump(&self, i: usize) -> u64 {
+    /// The tiles the overrides touch: the last tile once a join grew
+    /// it, and the refill tile.
+    fn overridden_tiles(&self) -> impl Iterator<Item = usize> {
         let job = self.job;
-        let base = job.walk.tile(i);
-        let (cycles, bytes) = job.overridden(i, base);
-        if (cycles, bytes) == (base.cycles, base.dram_bytes) {
-            return 0;
-        }
-        let time = |c, b| self.timing.tile_time(c, b, job.weight(), self.total_weight);
-        time(cycles, bytes) - time(base.cycles, base.dram_bytes)
+        let grown = (job.grown != (0, 0)).then_some(job.walk.len() - 1);
+        let refill = job.refill.map(|(at, _)| at).filter(|&at| Some(at) != grown);
+        [grown, refill].into_iter().flatten()
+    }
+
+    /// Duration of tile `i` as the job bills it, overrides applied.
+    fn overridden(&self, i: usize) -> u64 {
+        let job = self.job;
+        let (cycles, bytes) = job.overridden(i, job.walk.tile(i));
+        self.timing
+            .tile_time(cycles, bytes, job.weight(), self.total_weight)
     }
 
     /// Extra duration the overrides add over tiles `range`.
     fn bumps_in(&self, range: std::ops::Range<usize>) -> u64 {
-        let job = self.job;
-        let last = job.walk.len() - 1;
-        let refill = job.refill.map(|(at, _)| at).filter(|&at| at != last);
-        [Some(last), refill]
-            .into_iter()
-            .flatten()
+        self.overridden_tiles()
             .filter(|at| range.contains(at))
-            .map(|at| self.bump(at))
+            .map(|at| self.overridden(at) - self.walk.tile(at))
             .sum()
     }
 
@@ -910,10 +908,12 @@ impl<F: Fn(u64, u64) -> u64> PhaseTimes<'_, F> {
 
     /// Duration of phase `i`.
     fn phase(&self, i: usize) -> u64 {
-        if i < self.tiles {
-            self.walk.tile(i) + self.bumps_in(i..i + 1)
-        } else {
+        if i >= self.tiles {
             self.tail(i)
+        } else if self.overridden_tiles().any(|at| at == i) {
+            self.overridden(i)
+        } else {
+            self.walk.tile(i)
         }
     }
 
