@@ -5,10 +5,6 @@ use crate::shape::GemmShape;
 use std::cell::Cell;
 use std::ops::Range;
 
-/// Row spans up to this many full-height rows split their right-edge
-/// bytes tile by tile; longer spans use the floor sum.
-const DIRECT_ROWS: usize = 8;
-
 /// The exact-edge tile walk of [`RuntimeSpec::tile_schedule`], answered
 /// in closed form instead of materialized.
 ///
@@ -315,17 +311,12 @@ impl TileWalk {
     /// DRAM bytes of the right-edge tiles of full-height rows
     /// `r0..r1`: `Σ F((r+1)·R·sc) - F((r+1)·R·sc - R·rc)`.
     fn right_edge_bytes(&self, r0: usize, r1: usize) -> u64 {
+        if r1 == r0 {
+            return 0;
+        }
         let pitch = self.row_area();
         let edge = (self.heights[0] * self.widths[1]) as u128;
         let end = (r0 as u128 + 1) * pitch;
-        if r1 - r0 <= DIRECT_ROWS {
-            return (0..(r1 - r0) as u128)
-                .map(|i| {
-                    let x = end + i * pitch;
-                    self.floor(x) - self.floor(x - edge)
-                })
-                .sum();
-        }
         let (n, b) = ((r1 - r0) as u128, self.bytes as u128);
         let ends = floor_sum(n, self.area, b * pitch, b * end);
         let starts = floor_sum(n, self.area, b * pitch, b * (end - edge));

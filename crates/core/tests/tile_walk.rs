@@ -108,8 +108,8 @@ proptest! {
     }
 }
 
-/// Walks long enough in tile rows that the right-edge byte count takes
-/// the floor sum, not the short per-row loop, at both byte paths.
+/// Walks of hundreds of tile rows, so the right-edge floor sum spans
+/// many rows, at both byte paths.
 #[test]
 fn many_row_walks_match_schedule() {
     for (array, gemm) in [

@@ -796,59 +796,25 @@ fn ceil_mul_div(a: u64, b: u64, d: u64) -> u64 {
     ((a as u128 * b as u128).div_ceil(d as u128)) as u64
 }
 
-/// The largest `m <= max` with `span(m) <= budget`, where `span(m)` is
-/// the total of phases `0..m` and `phase(i)` the duration of phase `i`
-/// (so `span(0) == 0` and `span` never decreases). Returns `m`,
-/// `span(m)` and, when `m < max`, `span(m + 1)`.
-///
-/// Phase durations along a walk are nearly uniform, so each probe
-/// guesses `m` by interpolation, starting from `rate`, an estimate of
-/// one phase's duration, and checks `span(m)` together with `phase(m)`:
-/// a good guess settles the search in one range sum. Bisection takes
-/// over if a few guesses have not converged.
-fn fit(
-    max: usize,
-    budget: u64,
-    rate: u64,
-    span: impl Fn(usize) -> u64,
-    phase: impl Fn(usize) -> u64,
-) -> (usize, u64, Option<u64>) {
+/// The largest `m <= max` with `span(m) <= budget`, by bisection, where
+/// `span(m)` is the total of phases `0..m` (so `span(0) == 0` and `span`
+/// never decreases). Returns `m`, `span(m)` and, when `m < max`,
+/// `span(m + 1)`.
+fn fit(max: usize, budget: u64, span: impl Fn(usize) -> u64) -> (usize, u64, Option<u64>) {
     // `span(lo) == at_lo <= budget`, and `span(hi) == at_hi > budget`
     // once `hi` has been probed (`at_hi` is `None` for `hi == max + 1`).
     let (mut lo, mut at_lo) = (0usize, 0u64);
     let (mut hi, mut at_hi) = (max + 1, None);
-    let mut guess = usize::try_from(budget / rate.max(1)).unwrap_or(usize::MAX);
-    for probe in 0.. {
-        let m = if probe < 4 {
-            guess.clamp(lo, hi - 1)
-        } else {
-            lo + (hi - lo) / 2
-        };
-        let v = if m == lo { at_lo } else { span(m) };
+    while hi - lo > 1 {
+        let m = lo + (hi - lo) / 2;
+        let v = span(m);
         if v > budget {
             (hi, at_hi) = (m, Some(v));
-        } else if m == max {
-            return (max, v, None);
         } else {
-            let through = v + phase(m);
-            if through > budget {
-                return (m, v, Some(through));
-            }
-            (lo, at_lo) = (m + 1, through);
+            (lo, at_lo) = (m, v);
         }
-        if hi - lo <= 1 {
-            return (lo, at_lo, at_hi);
-        }
-        // Interpolate inside the bracket, or extrapolate at the mean
-        // duration so far.
-        let (width, rise) = match at_hi {
-            Some(h) => (hi - lo, h - at_lo),
-            None => (lo, at_lo),
-        };
-        let step = (budget - at_lo) as u128 * width as u128 / rise.max(1) as u128;
-        guess = lo.saturating_add(usize::try_from(step).unwrap_or(usize::MAX));
     }
-    unreachable!("the bracket shrinks on every probe")
+    (lo, at_lo, at_hi)
 }
 
 /// One job's phase durations under a fixed timing epoch, in closed
@@ -1095,11 +1061,10 @@ impl RunningJob {
         let (at, scheduled, spent) = {
             let times = self.times(timing, self.timed_total_weight);
             let span = |m| times.span(from, from + m);
-            let phase = |m| times.phase(from + m);
-            let (crossed, spent, next) = fit(last - from, budget, self.cur_scheduled, span, phase);
+            let (crossed, spent, next) = fit(last - from, budget, span);
             let at = from + crossed;
-            // The probe one phase further already priced the landing
-            // phase, unless it is the terminal one.
+            // The search already summed through the landing phase,
+            // unless it is the terminal one.
             let scheduled = next.map_or_else(|| times.phase(at), |next| next - spent);
             (at, scheduled, spent)
         };
@@ -1171,9 +1136,8 @@ impl RunningJob {
         let times = self.times(timing, self.timed_total_weight);
         let max = len - 2 - p;
         let span = |m| times.span(p + 1, p + 1 + m);
-        let phase = |m| times.phase(p + 1 + m);
-        let (m, _, through_j) = fit(max, now - first, self.cur_scheduled, span, phase);
-        // `m < max` exactly when the probe through tile `p + 1 + m` ran.
+        let (m, _, through_j) = fit(max, now - first, span);
+        // `m < max` exactly when the search summed through tile `p + 1 + m`.
         through_j.map(|through_j| (p + 1 + m, first + through_j))
     }
 
@@ -1984,13 +1948,17 @@ impl<'a> PodEngine<'a> {
             // Bill the join as the cycle (and traffic) delta between the
             // old and new fused shapes under the job's fixed mapping,
             // appended to its last tile.
+            let old_shape = job.batch.shape;
             let new_shape = coalesced_shape(key, job.batch.requests.len() + 1);
-            let old = tile_walk(&job.cfg, pod.drain, job.dataflow, job.batch.shape);
-            let new = tile_walk(&job.cfg, pod.drain, job.dataflow, new_shape);
-            let delta = new.total_cycles().saturating_sub(old.total_cycles());
-            let delta_bytes = new
-                .total_dram_bytes()
-                .saturating_sub(old.total_dram_bytes());
+            let fixed = MappingPolicy::Fixed(job.dataflow);
+            let mut total = |shape| {
+                self.models
+                    .service_cycles(&job.cfg, fixed, pod.drain, Tiling::ScaleUp, shape)
+                    .1 as u64
+            };
+            let delta = total(new_shape).saturating_sub(total(old_shape));
+            let delta_bytes = dispatch_dram_bytes(new_shape, 1, 1)
+                .saturating_sub(dispatch_dram_bytes(old_shape, 1, 1));
             job.batch.shape = new_shape;
             job.batch.requests.push(*cand);
             job.dispatch_times.push(now);
@@ -2329,13 +2297,12 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// `fit` finds what a linear scan finds, for any rate hint and
-        /// for phase lists with runs of equal and zero durations.
+        /// `fit` finds what a linear scan finds, for phase lists with
+        /// runs of equal and zero durations.
         #[test]
         fn fit_matches_linear_scan(
             seed in 0u64..u64::MAX,
             len in 0usize..60,
-            rate in 0u64..40,
         ) {
             let mut s = seed | 1;
             let mut rng = move |bound: u64| {
@@ -2353,7 +2320,7 @@ mod tests {
                 let m = (0..=max).rev().find(|&m| span(m) <= budget).expect("span(0) fits");
                 let next = (m < max).then(|| span(m + 1));
                 prop_assert_eq!(
-                    fit(max, budget, rate, span, |i| phases[i]),
+                    fit(max, budget, span),
                     (m, span(m), next)
                 );
             }
