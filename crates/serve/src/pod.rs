@@ -616,7 +616,8 @@ struct ModelCache {
     /// modeled cycles. Measured in `perfbench` on a 2-vCPU x86 host:
     /// removing it cost `pod_steady` 12.1% req/wall-s (median of 10
     /// alternating 10 s pairs, the memo winning 8): every dispatch,
-    /// planner probe, admission estimate and preemption check asks it.
+    /// planner probe, admission estimate, preemption check and
+    /// in-flight join asks it.
     service: HashMap<ServiceKey, (Dataflow, usize)>,
     /// Whole-plan memo of [`plan_sharding`], keyed on every input its
     /// score reads. Its hit/miss/grids-scored counters feed
@@ -796,25 +797,63 @@ fn ceil_mul_div(a: u64, b: u64, d: u64) -> u64 {
     ((a as u128 * b as u128).div_ceil(d as u128)) as u64
 }
 
-/// The largest `m <= max` with `span(m) <= budget`, by bisection, where
-/// `span(m)` is the total of phases `0..m` (so `span(0) == 0` and `span`
-/// never decreases). Returns `m`, `span(m)` and, when `m < max`,
-/// `span(m + 1)`.
-fn fit(max: usize, budget: u64, span: impl Fn(usize) -> u64) -> (usize, u64, Option<u64>) {
+/// Interpolating probes of [`fit`] before it bisects.
+const INTERPOLATED_PROBES: usize = 4;
+
+/// The largest `m <= max` with `span(m) <= budget`, where `span(m)` is
+/// the total of phases `0..m` and `phase(i)` the duration of phase `i`
+/// (so `span(0) == 0` and `span` never decreases). Returns `m`,
+/// `span(m)` and, when `m < max`, `span(m + 1)`.
+///
+/// Phase durations along a walk are nearly uniform, so each probe
+/// guesses `m` by interpolation, starting from `rate`, an estimate of
+/// one phase's duration, and checks `span(m)` together with `phase(m)`:
+/// a good guess settles the search in one range sum. After
+/// [`INTERPOLATED_PROBES`] guesses it bisects, which bounds the searches
+/// an uneven phase (a grown last tile, a checkpoint tail) skews.
+fn fit(
+    max: usize,
+    budget: u64,
+    rate: u64,
+    span: impl Fn(usize) -> u64,
+    phase: impl Fn(usize) -> u64,
+) -> (usize, u64, Option<u64>) {
     // `span(lo) == at_lo <= budget`, and `span(hi) == at_hi > budget`
     // once `hi` has been probed (`at_hi` is `None` for `hi == max + 1`).
     let (mut lo, mut at_lo) = (0usize, 0u64);
     let (mut hi, mut at_hi) = (max + 1, None);
-    while hi - lo > 1 {
-        let m = lo + (hi - lo) / 2;
-        let v = span(m);
+    let mut guess = usize::try_from(budget / rate.max(1)).unwrap_or(usize::MAX);
+    for probe in 0.. {
+        let m = if probe < INTERPOLATED_PROBES {
+            guess.clamp(lo, hi - 1)
+        } else {
+            lo + (hi - lo) / 2
+        };
+        let v = if m == lo { at_lo } else { span(m) };
         if v > budget {
             (hi, at_hi) = (m, Some(v));
+        } else if m == max {
+            return (max, v, None);
         } else {
-            (lo, at_lo) = (m, v);
+            let through = v + phase(m);
+            if through > budget {
+                return (m, v, Some(through));
+            }
+            (lo, at_lo) = (m + 1, through);
         }
+        if hi - lo <= 1 {
+            return (lo, at_lo, at_hi);
+        }
+        // Interpolate inside the bracket, or extrapolate at the mean
+        // duration so far.
+        let (width, rise) = match at_hi {
+            Some(h) => (hi - lo, h - at_lo),
+            None => (lo, at_lo),
+        };
+        let step = (budget - at_lo) as u128 * width as u128 / rise.max(1) as u128;
+        guess = lo.saturating_add(usize::try_from(step).unwrap_or(usize::MAX));
     }
-    (lo, at_lo, at_hi)
+    unreachable!("the bracket shrinks on every probe")
 }
 
 /// One job's phase durations under a fixed timing epoch, in closed
@@ -1061,10 +1100,11 @@ impl RunningJob {
         let (at, scheduled, spent) = {
             let times = self.times(timing, self.timed_total_weight);
             let span = |m| times.span(from, from + m);
-            let (crossed, spent, next) = fit(last - from, budget, span);
+            let phase = |m| times.phase(from + m);
+            let (crossed, spent, next) = fit(last - from, budget, self.cur_scheduled, span, phase);
             let at = from + crossed;
-            // The search already summed through the landing phase,
-            // unless it is the terminal one.
+            // The probe one phase further already priced the landing
+            // phase, unless it is the terminal one.
             let scheduled = next.map_or_else(|| times.phase(at), |next| next - spent);
             (at, scheduled, spent)
         };
@@ -1136,8 +1176,9 @@ impl RunningJob {
         let times = self.times(timing, self.timed_total_weight);
         let max = len - 2 - p;
         let span = |m| times.span(p + 1, p + 1 + m);
-        let (m, _, through_j) = fit(max, now - first, span);
-        // `m < max` exactly when the search summed through tile `p + 1 + m`.
+        let phase = |m| times.phase(p + 1 + m);
+        let (m, _, through_j) = fit(max, now - first, self.cur_scheduled, span, phase);
+        // `m < max` exactly when the probe through tile `p + 1 + m` ran.
         through_j.map(|through_j| (p + 1 + m, first + through_j))
     }
 
@@ -2236,10 +2277,10 @@ mod tests {
             .tile_schedule(cfg.arch, shape, dispatch_dram_bytes(shape, 1, 1))
     }
 
-    /// The join path bills shape deltas off walk totals; they must equal
-    /// the closed-form runtime model and `TileSchedule::total_cycles()`
-    /// of the materialized walk, bit for bit, or join billing drifts off
-    /// dispatch billing.
+    /// The join path bills shape deltas off the closed-form runtime
+    /// model; it must equal the walk total and
+    /// `TileSchedule::total_cycles()` of the materialized walk, bit for
+    /// bit, or join billing drifts off dispatch billing.
     #[test]
     fn schedule_total_matches_walk() {
         for (arch, side) in [
@@ -2297,12 +2338,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// `fit` finds what a linear scan finds, for phase lists with
-        /// runs of equal and zero durations.
+        /// `fit` finds what a linear scan finds, for any rate hint and
+        /// for phase lists with runs of equal and zero durations.
         #[test]
         fn fit_matches_linear_scan(
             seed in 0u64..u64::MAX,
             len in 0usize..60,
+            rate in 0u64..40,
         ) {
             let mut s = seed | 1;
             let mut rng = move |bound: u64| {
@@ -2320,7 +2362,7 @@ mod tests {
                 let m = (0..=max).rev().find(|&m| span(m) <= budget).expect("span(0) fits");
                 let next = (m < max).then(|| span(m + 1));
                 prop_assert_eq!(
-                    fit(max, budget, span),
+                    fit(max, budget, rate, span, |i| phases[i]),
                     (m, span(m), next)
                 );
             }
