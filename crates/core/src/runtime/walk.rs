@@ -168,7 +168,10 @@ impl TileWalk {
 
     /// Total billed cycles: the tile cycles plus the final drain.
     pub fn total_cycles(&self) -> u64 {
-        self.sum(0..self.len(), |cycles, _| cycles) + self.final_drain
+        let (r, c) = ((self.nr - 1) as u64, (self.nc - 1) as u64);
+        let counts = [r * c, r, c, 1];
+        let tiles: u64 = counts.iter().zip(self.cycles).map(|(n, t)| n * t).sum();
+        tiles + self.final_drain
     }
 
     /// Total attributed DRAM bytes.

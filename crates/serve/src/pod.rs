@@ -616,8 +616,7 @@ struct ModelCache {
     /// modeled cycles. Measured in `perfbench` on a 2-vCPU x86 host:
     /// removing it cost `pod_steady` 12.1% req/wall-s (median of 10
     /// alternating 10 s pairs, the memo winning 8): every dispatch,
-    /// planner probe, admission estimate, preemption check and
-    /// in-flight join asks it.
+    /// planner probe, admission estimate and preemption check asks it.
     service: HashMap<ServiceKey, (Dataflow, usize)>,
     /// Whole-plan memo of [`plan_sharding`], keyed on every input its
     /// score reads. Its hit/miss/grids-scored counters feed
@@ -1991,13 +1990,8 @@ impl<'a> PodEngine<'a> {
             // appended to its last tile.
             let old_shape = job.batch.shape;
             let new_shape = coalesced_shape(key, job.batch.requests.len() + 1);
-            let fixed = MappingPolicy::Fixed(job.dataflow);
-            let mut total = |shape| {
-                self.models
-                    .service_cycles(&job.cfg, fixed, pod.drain, Tiling::ScaleUp, shape)
-                    .1 as u64
-            };
-            let delta = total(new_shape).saturating_sub(total(old_shape));
+            let cycles = |shape| tile_walk(&job.cfg, pod.drain, job.dataflow, shape).total_cycles();
+            let delta = cycles(new_shape).saturating_sub(cycles(old_shape));
             let delta_bytes = dispatch_dram_bytes(new_shape, 1, 1)
                 .saturating_sub(dispatch_dram_bytes(old_shape, 1, 1));
             job.batch.shape = new_shape;
@@ -2277,10 +2271,10 @@ mod tests {
             .tile_schedule(cfg.arch, shape, dispatch_dram_bytes(shape, 1, 1))
     }
 
-    /// The join path bills shape deltas off the closed-form runtime
-    /// model; it must equal the walk total and
-    /// `TileSchedule::total_cycles()` of the materialized walk, bit for
-    /// bit, or join billing drifts off dispatch billing.
+    /// The join path bills shape deltas off walk totals; they must equal
+    /// the closed-form runtime model and `TileSchedule::total_cycles()`
+    /// of the materialized walk, bit for bit, or join billing drifts off
+    /// dispatch billing.
     #[test]
     fn schedule_total_matches_walk() {
         for (arch, side) in [
