@@ -136,7 +136,7 @@ fn fractional(rows: usize, cols: usize, seed: u64) -> Matrix {
         state ^= state >> 7;
         state ^= state << 17;
         let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-        if state % 5 == 0 {
+        if state.is_multiple_of(5) {
             0.0
         } else {
             ((2.0 * u - 1.0) * 1.37) as f32
