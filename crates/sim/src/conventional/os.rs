@@ -5,9 +5,17 @@
 //! (filters/`B`), skewed by one cycle per row/column, and propagate
 //! unidirectionally (paper Fig. 1). Each PE accumulates its output in
 //! place; after the last MAC the array drains for `r` cycles.
+//!
+//! The engine steps cycle by cycle but moves no operands: `a[(i, t)]`
+//! reaches PE `(i, j)` after `j` hops and `b[(t, j)]` after `i`, so PE
+//! `(i, j)` fires step `t` in cycle `t + i + j`, and each cycle visits
+//! only the one run of columns per row that fires. The cycle count still
+//! comes from stepping until every MAC slot has fired, never from the
+//! closed form it is checked against.
 
+use super::firing;
 use crate::matrix::Matrix;
-use crate::pe::{mac, Lattice};
+use crate::pe::Macs;
 use crate::probe::{FeedOperand, Probe};
 use crate::stats::SimStats;
 
@@ -17,87 +25,76 @@ use crate::stats::SimStats;
 /// Returns the `r x c` output tile and updates `stats` in place. The total
 /// cycle count per tile is `2r + c + k - 2` (Eq. 1 with `T = k`), split as
 /// `k + r + c - 2` active cycles plus `r` drain cycles.
-pub(crate) fn simulate_tile(
+pub(crate) fn simulate_tile<P: Probe>(
     a: &Matrix,
     b: &Matrix,
     zero_gating: bool,
     stats: &mut SimStats,
-    probe: &mut dyn Probe,
+    probe: &mut P,
 ) -> Matrix {
     let r = a.rows();
     let k = a.cols();
     let c = b.cols();
     debug_assert_eq!(k, b.rows());
+    let (a_buf, b_buf) = (a.as_slice(), b.as_slice());
 
-    let mut a_flow = Lattice::new(r, c);
-    let mut b_flow = Lattice::new(r, c);
-    let mut acc = Matrix::zeros(r, c);
+    let mut out = Matrix::zeros(r, c);
+    let acc = out.as_mut_slice();
+    let mut macs = Macs::default();
     let mut slots = 0usize;
     let expected = r * c * k;
     let mut cycle = 0usize;
 
     while slots < expected {
-        // Propagate into the current cycle: left/top edges are fed with the
-        // skewed streams; interior PEs take their neighbour's previous value.
-        for i in 0..r {
-            for j in 0..c {
-                let av = if j == 0 {
-                    // Row i is skewed by i cycles.
-                    cycle
-                        .checked_sub(i)
-                        .and_then(|t| a.get(i, t).map(|v| (t, v)))
-                        .map(|(t, v)| {
-                            stats.buffer_reads += 1;
-                            probe.feed(cycle, FeedOperand::A, (i, t));
-                            v
-                        })
-                } else {
-                    a_flow.get(i, j - 1)
-                };
-                a_flow.set_next(i, j, av);
-
-                let bv = if i == 0 {
-                    cycle
-                        .checked_sub(j)
-                        .and_then(|t| b.get(t, j).map(|v| (t, v)))
-                        .map(|(t, v)| {
-                            stats.buffer_reads += 1;
-                            probe.feed(cycle, FeedOperand::B, (t, j));
-                            v
-                        })
-                } else {
-                    b_flow.get(i - 1, j)
-                };
-                b_flow.set_next(i, j, bv);
-            }
+        // Edge feeds in the raster order of the feeder PEs: PE (0, 0)
+        // takes `A`, the top row takes `B` and the rows below take `A`,
+        // each skewed by one cycle per column or row.
+        if cycle < k {
+            stats.buffer_reads += 1;
+            probe.feed(cycle, FeedOperand::A, (0, cycle));
         }
-        a_flow.advance();
-        b_flow.advance();
+        for j in firing(cycle, 0, k, c) {
+            stats.buffer_reads += 1;
+            probe.feed(cycle, FeedOperand::B, (cycle - j, j));
+        }
+        let left = firing(cycle, 0, k, r);
+        for i in left.start.max(1)..left.end {
+            stats.buffer_reads += 1;
+            probe.feed(cycle, FeedOperand::A, (i, cycle - i));
+        }
 
-        // MAC phase: every PE holding both operands fires.
+        // MAC phase: every PE holding both operands fires, in k order.
         for i in 0..r {
-            for j in 0..c {
-                if let (Some(av), Some(bv)) = (a_flow.get(i, j), b_flow.get(i, j)) {
-                    acc[(i, j)] = mac(acc[(i, j)], av, bv, zero_gating, stats);
-                    probe.mac(cycle, i, j);
-                    slots += 1;
-                }
+            let cols = firing(cycle, i, k, c);
+            slots += cols.len();
+            let row = i * c;
+            for j in cols {
+                let t = cycle - i - j;
+                acc[row + j] = macs.mac(
+                    acc[row + j],
+                    a_buf[i * k + t],
+                    b_buf[t * c + j],
+                    zero_gating,
+                );
+                probe.mac(cycle, i, j);
             }
         }
         cycle += 1;
     }
 
     // Drain: outputs shift out row by row (r cycles). The values are
-    // already in `acc`; only the latency is billed.
+    // already in `out`; only the latency is billed.
+    macs.settle(stats);
     stats.cycles += cycle + r;
     stats.drain_cycles += r;
     stats.tiles += 1;
-    acc
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoProbe;
 
     fn seq(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| (r * cols + c + 1) as f32)
@@ -108,7 +105,7 @@ mod tests {
         let a = seq(3, 4);
         let b = seq(4, 2);
         let mut stats = SimStats::new();
-        let c = simulate_tile(&a, &b, false, &mut stats, &mut crate::probe::NoProbe);
+        let c = simulate_tile(&a, &b, false, &mut stats, &mut NoProbe);
         assert_eq!(c, a.matmul(&b));
     }
 
@@ -119,7 +116,7 @@ mod tests {
             let a = seq(r, k);
             let b = seq(k, c);
             let mut stats = SimStats::new();
-            simulate_tile(&a, &b, false, &mut stats, &mut crate::probe::NoProbe);
+            simulate_tile(&a, &b, false, &mut stats, &mut NoProbe);
             assert_eq!(stats.cycles, 2 * r + c + k - 2, "r={r} k={k} c={c}");
         }
     }
@@ -129,7 +126,7 @@ mod tests {
         let a = seq(3, 5);
         let b = seq(5, 4);
         let mut stats = SimStats::new();
-        simulate_tile(&a, &b, false, &mut stats, &mut crate::probe::NoProbe);
+        simulate_tile(&a, &b, false, &mut stats, &mut NoProbe);
         assert_eq!(stats.macs_performed, 3 * 5 * 4);
         assert_eq!(stats.buffer_reads, 3 * 5 + 5 * 4);
     }
@@ -141,7 +138,7 @@ mod tests {
         a[(1, 2)] = 0.0;
         let b = seq(3, 3);
         let mut stats = SimStats::new();
-        let c = simulate_tile(&a, &b, true, &mut stats, &mut crate::probe::NoProbe);
+        let c = simulate_tile(&a, &b, true, &mut stats, &mut NoProbe);
         // Each zero A element feeds a full row of 3 output columns.
         assert_eq!(stats.macs_gated, 2 * 3);
         assert_eq!(stats.macs_performed, 27 - 6);

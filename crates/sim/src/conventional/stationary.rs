@@ -9,9 +9,18 @@
 //! weight-stationary holds `A` transposed (`S_R = K`, `S_C = M`, `T = N`)
 //! and input-stationary holds `B` (`S_R = K`, `S_C = N`, `T = M`). The
 //! wrappers in `lib.rs` perform those projections.
+//!
+//! The engine steps cycle by cycle but moves no operands: `stream[(t, k)]`
+//! enters row `k` in cycle `t + k` and reaches PE `(k, j)` in cycle
+//! `t + k + j`, one cycle after PE `(k - 1, j)` produced the partial sum
+//! of step `t`. Each running sum `(t, j)` therefore accumulates in row
+//! order in the output tile itself, and each cycle visits only the one run
+//! of columns per row that fires. The cycle count still comes from
+//! stepping until every output has left the bottom row.
 
+use super::firing;
 use crate::matrix::Matrix;
-use crate::pe::{mac, Lattice};
+use crate::pe::Macs;
 use crate::probe::{FeedOperand, Probe};
 use crate::stats::SimStats;
 
@@ -27,22 +36,22 @@ use crate::stats::SimStats;
 ///
 /// The per-tile cycle count is `2*sr + sc + t_len - 2` (Eq. 1): `sr`
 /// preload cycles plus `t_len + sr + sc - 2` streaming cycles.
-pub(crate) fn simulate_tile(
+pub(crate) fn simulate_tile<P: Probe>(
     stationary: &Matrix,
     stream: &Matrix,
     zero_gating: bool,
     stats: &mut SimStats,
-    probe: &mut dyn Probe,
+    probe: &mut P,
 ) -> Matrix {
     let sr = stationary.rows();
     let sc = stationary.cols();
     let t_len = stream.rows();
     debug_assert_eq!(stream.cols(), sr);
+    let (held, fed) = (stationary.as_slice(), stream.as_slice());
 
-    let mut flow = Lattice::new(sr, sc);
-    let mut psum = Lattice::new(sr, sc);
     let mut out = Matrix::zeros(t_len, sc);
-    let mut collected = vec![0usize; sc];
+    let psum = out.as_mut_slice();
+    let mut macs = Macs::default();
     let mut done = 0usize;
     let mut cycle = 0usize;
 
@@ -51,54 +60,30 @@ pub(crate) fn simulate_tile(
     stats.buffer_reads += sr * sc;
 
     while done < sc * t_len {
-        // Stream propagation: left-edge feed with skew k, then rightward.
-        for k in 0..sr {
-            for j in 0..sc {
-                let v = if j == 0 {
-                    cycle
-                        .checked_sub(k)
-                        .and_then(|t| stream.get(t, k).map(|v| (t, v)))
-                        .map(|(t, v)| {
-                            stats.buffer_reads += 1;
-                            probe.feed(cycle, FeedOperand::Stream, (t, k));
-                            v
-                        })
-                } else {
-                    flow.get(k, j - 1)
-                };
-                flow.set_next(k, j, v);
-            }
+        // Left-edge stream feeds, skewed by one cycle per row.
+        for k in firing(cycle, 0, t_len, sr) {
+            stats.buffer_reads += 1;
+            probe.feed(cycle, FeedOperand::Stream, (cycle - k, k));
         }
-        flow.advance();
 
-        // MAC + partial-sum descent. A PE fires when its stream operand is
-        // present; the skew guarantees the psum from above arrives the same
-        // cycle.
+        // MAC + partial-sum descent: PE (k, j) adds its product to the
+        // sum PE (k - 1, j) left for step t last cycle.
         for k in 0..sr {
-            for j in 0..sc {
-                if let Some(sv) = flow.get(k, j) {
-                    let psum_in = if k == 0 {
-                        0.0
-                    } else {
-                        psum.get(k - 1, j)
-                            .expect("skew keeps psums aligned with the stream wavefront")
-                    };
-                    let acc = mac(psum_in, stationary[(k, j)], sv, zero_gating, stats);
-                    probe.mac(cycle, k, j);
-                    psum.set_next(k, j, Some(acc));
-                    if k == sr - 1 {
-                        let t = collected[j];
-                        out[(t, j)] = acc;
-                        collected[j] += 1;
-                        done += 1;
-                    }
-                }
+            let cols = firing(cycle, k, t_len, sc);
+            if k == sr - 1 {
+                done += cols.len();
+            }
+            for j in cols {
+                let t = cycle - k - j;
+                let p = t * sc + j;
+                psum[p] = macs.mac(psum[p], held[k * sc + j], fed[t * sr + k], zero_gating);
+                probe.mac(cycle, k, j);
             }
         }
-        psum.advance();
         cycle += 1;
     }
 
+    macs.settle(stats);
     stats.cycles += sr + cycle;
     stats.tiles += 1;
     out
@@ -107,6 +92,7 @@ pub(crate) fn simulate_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoProbe;
 
     fn seq(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| (r * cols + c + 1) as f32)
@@ -122,7 +108,7 @@ mod tests {
         let s = seq(4, 3);
         let y = seq(5, 4);
         let mut stats = SimStats::new();
-        let out = simulate_tile(&s, &y, false, &mut stats, &mut crate::probe::NoProbe);
+        let out = simulate_tile(&s, &y, false, &mut stats, &mut NoProbe);
         assert_eq!(out, reference(&s, &y));
     }
 
@@ -132,7 +118,7 @@ mod tests {
             let s = seq(sr, sc);
             let y = seq(t, sr);
             let mut stats = SimStats::new();
-            simulate_tile(&s, &y, false, &mut stats, &mut crate::probe::NoProbe);
+            simulate_tile(&s, &y, false, &mut stats, &mut NoProbe);
             assert_eq!(stats.cycles, 2 * sr + sc + t - 2, "sr={sr} sc={sc} t={t}");
             assert_eq!(stats.preload_cycles, sr);
         }
@@ -143,7 +129,7 @@ mod tests {
         let s = seq(4, 3);
         let y = seq(5, 4);
         let mut stats = SimStats::new();
-        simulate_tile(&s, &y, false, &mut stats, &mut crate::probe::NoProbe);
+        simulate_tile(&s, &y, false, &mut stats, &mut NoProbe);
         assert_eq!(stats.macs_performed, 4 * 3 * 5);
         // Preload reads + streaming reads.
         assert_eq!(stats.buffer_reads, 4 * 3 + 5 * 4);
@@ -156,7 +142,7 @@ mod tests {
         let mut y = seq(4, 3);
         y[(2, 0)] = 0.0;
         let mut stats = SimStats::new();
-        let out = simulate_tile(&s, &y, true, &mut stats, &mut crate::probe::NoProbe);
+        let out = simulate_tile(&s, &y, true, &mut stats, &mut NoProbe);
         assert_eq!(out, reference(&s, &y));
         // One stationary zero hits every t; one stream zero hits every
         // column; the overlap (t=2, j=1, k=... ) is counted once per slot.

@@ -159,13 +159,6 @@ pub fn simulate_gemm(
     a: &Matrix,
     b: &Matrix,
 ) -> Result<SimResult, ShapeError> {
-    if a.cols() != b.rows() {
-        return Err(ShapeError::DimensionMismatch {
-            context: "A cols vs B rows",
-            left: a.cols(),
-            right: b.rows(),
-        });
-    }
     simulate_gemm_probed(arch, cfg, a, b, &mut probe::NoProbe)
 }
 
@@ -212,12 +205,12 @@ pub fn simulate_gemm_demand_trace(
     Ok((result, trace))
 }
 
-fn simulate_gemm_probed(
+fn simulate_gemm_probed<P: probe::Probe>(
     arch: Architecture,
     cfg: &SimConfig,
     a: &Matrix,
     b: &Matrix,
-    probe: &mut dyn probe::Probe,
+    probe: &mut P,
 ) -> Result<SimResult, ShapeError> {
     if a.cols() != b.rows() {
         return Err(ShapeError::DimensionMismatch {
@@ -233,13 +226,13 @@ fn simulate_gemm_probed(
     }
 }
 
-fn os_tile(
+fn os_tile<P: probe::Probe>(
     arch: Architecture,
     a: &Matrix,
     b: &Matrix,
     zero_gating: bool,
     stats: &mut SimStats,
-    probe: &mut dyn probe::Probe,
+    probe: &mut P,
 ) -> Matrix {
     match arch {
         Architecture::Conventional => {
@@ -249,13 +242,13 @@ fn os_tile(
     }
 }
 
-fn stationary_tile(
+fn stationary_tile<P: probe::Probe>(
     arch: Architecture,
     stationary: &Matrix,
     stream: &Matrix,
     zero_gating: bool,
     stats: &mut SimStats,
-    probe: &mut dyn probe::Probe,
+    probe: &mut P,
 ) -> Matrix {
     match arch {
         Architecture::Conventional => {
@@ -267,12 +260,12 @@ fn stationary_tile(
     }
 }
 
-fn simulate_os(
+fn simulate_os<P: probe::Probe>(
     arch: Architecture,
     cfg: &SimConfig,
     a: &Matrix,
     b: &Matrix,
-    probe: &mut dyn probe::Probe,
+    probe: &mut P,
 ) -> SimResult {
     let (m, n) = (a.rows(), b.cols());
     let (tr, tc) = (cfg.array.rows(), cfg.array.cols());
@@ -345,12 +338,12 @@ impl OverlapTracker {
     }
 }
 
-fn simulate_ws(
+fn simulate_ws<P: probe::Probe>(
     arch: Architecture,
     cfg: &SimConfig,
     a: &Matrix,
     b: &Matrix,
-    probe: &mut dyn probe::Probe,
+    probe: &mut P,
 ) -> SimResult {
     // Stationary grid holds A transposed: stationary[(k, m)] = a[(m, k)].
     // Stream holds B transposed: stream[(n, k)] = b[(k, n)]; T = N.
@@ -389,12 +382,12 @@ fn simulate_ws(
     SimResult { output, stats }
 }
 
-fn simulate_is(
+fn simulate_is<P: probe::Probe>(
     arch: Architecture,
     cfg: &SimConfig,
     a: &Matrix,
     b: &Matrix,
-    probe: &mut dyn probe::Probe,
+    probe: &mut P,
 ) -> SimResult {
     // Stationary grid holds B: stationary[(k, n)] = b[(k, n)].
     // Stream holds A: stream[(m, k)] = a[(m, k)]; T = M.

@@ -94,6 +94,11 @@ impl Matrix {
         &self.data
     }
 
+    /// Mutably borrow the underlying row-major storage.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data
+    }
+
     /// Returns element `(r, c)` or `None` when out of bounds.
     pub fn get(&self, r: usize, c: usize) -> Option<f32> {
         if r < self.rows && c < self.cols {

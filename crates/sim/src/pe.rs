@@ -2,70 +2,37 @@
 
 use crate::stats::SimStats;
 
-/// Performs one MAC with optional zero gating, updating the statistics.
-///
-/// When `zero_gating` is enabled and either operand is exactly zero, the
-/// multiplier and adder are not exercised (the paper's §4.1 power-saving
-/// technique); the MAC slot is counted in [`SimStats::macs_gated`] and the
-/// accumulator input passes through unchanged.
-pub(crate) fn mac(acc_in: f32, a: f32, b: f32, zero_gating: bool, stats: &mut SimStats) -> f32 {
-    if zero_gating && (a == 0.0 || b == 0.0) {
-        stats.macs_gated += 1;
-        acc_in
-    } else {
-        stats.macs_performed += 1;
-        acc_in + a * b
-    }
+/// MAC counters of one tile pass, kept in locals by the engines and added
+/// to [`SimStats`] once per tile by [`Macs::settle`].
+#[derive(Debug, Default)]
+pub(crate) struct Macs {
+    performed: usize,
+    gated: usize,
 }
 
-/// A double-buffered grid of optional in-flight values.
-///
-/// Systolic propagation must be wavefront-correct: a value written this
-/// cycle may not be observed by a neighbour until the next cycle. `Lattice`
-/// keeps a *current* and a *next* plane; engines read `cur`, write `nxt`,
-/// then [`Lattice::advance`] swaps the planes.
-#[derive(Debug, Clone)]
-pub(crate) struct Lattice {
-    rows: usize,
-    cols: usize,
-    cur: Vec<Option<f32>>,
-    nxt: Vec<Option<f32>>,
-}
-
-impl Lattice {
-    pub(crate) fn new(rows: usize, cols: usize) -> Self {
-        Self {
-            rows,
-            cols,
-            cur: vec![None; rows * cols],
-            nxt: vec![None; rows * cols],
+impl Macs {
+    /// Performs one MAC with optional zero gating.
+    ///
+    /// When `zero_gating` is enabled and either operand is exactly zero,
+    /// the multiplier and adder are not exercised (the paper's §4.1
+    /// power-saving technique); the MAC slot is counted as gated and the
+    /// accumulator input passes through unchanged.
+    #[inline]
+    pub(crate) fn mac(&mut self, acc_in: f32, a: f32, b: f32, zero_gating: bool) -> f32 {
+        if zero_gating && (a == 0.0 || b == 0.0) {
+            self.gated += 1;
+            acc_in
+        } else {
+            self.performed += 1;
+            acc_in + a * b
         }
     }
 
-    #[inline]
-    fn idx(&self, r: usize, c: usize) -> usize {
-        debug_assert!(r < self.rows && c < self.cols);
-        r * self.cols + c
-    }
-
-    /// Value present at `(r, c)` in the current cycle.
-    #[inline]
-    pub(crate) fn get(&self, r: usize, c: usize) -> Option<f32> {
-        self.cur[self.idx(r, c)]
-    }
-
-    /// Sets the value visible at `(r, c)` in the *next* cycle.
-    #[inline]
-    pub(crate) fn set_next(&mut self, r: usize, c: usize, v: Option<f32>) {
-        let i = self.idx(r, c);
-        self.nxt[i] = v;
-    }
-
-    /// Ends the cycle: the next plane becomes current and the stale plane
-    /// is cleared for reuse.
-    pub(crate) fn advance(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.nxt);
-        self.nxt.iter_mut().for_each(|v| *v = None);
+    /// Adds the counts to [`SimStats::macs_performed`] and
+    /// [`SimStats::macs_gated`].
+    pub(crate) fn settle(self, stats: &mut SimStats) {
+        stats.macs_performed += self.performed;
+        stats.macs_gated += self.gated;
     }
 }
 
@@ -75,37 +42,26 @@ mod tests {
 
     #[test]
     fn mac_accumulates() {
-        let mut s = SimStats::new();
-        let acc = mac(1.0, 2.0, 3.0, false, &mut s);
+        let mut m = Macs::default();
+        let acc = m.mac(1.0, 2.0, 3.0, false);
         assert_eq!(acc, 7.0);
+        let mut s = SimStats::new();
+        m.settle(&mut s);
         assert_eq!(s.macs_performed, 1);
         assert_eq!(s.macs_gated, 0);
     }
 
     #[test]
     fn mac_gates_zero_operand() {
-        let mut s = SimStats::new();
-        let acc = mac(5.0, 0.0, 3.0, true, &mut s);
+        let mut m = Macs::default();
+        let acc = m.mac(5.0, 0.0, 3.0, true);
         assert_eq!(acc, 5.0);
-        assert_eq!(s.macs_gated, 1);
-        assert_eq!(s.macs_performed, 0);
         // Without gating the zero MAC is still executed.
-        let acc = mac(5.0, 0.0, 3.0, false, &mut s);
+        let acc = m.mac(5.0, 0.0, 3.0, false);
         assert_eq!(acc, 5.0);
+        let mut s = SimStats::new();
+        m.settle(&mut s);
+        assert_eq!(s.macs_gated, 1);
         assert_eq!(s.macs_performed, 1);
-    }
-
-    #[test]
-    fn lattice_is_wavefront_correct() {
-        let mut l = Lattice::new(1, 3);
-        l.set_next(0, 0, Some(1.0));
-        l.advance();
-        assert_eq!(l.get(0, 0), Some(1.0));
-        assert_eq!(l.get(0, 1), None);
-        // Shift right one step per advance.
-        l.set_next(0, 1, l.get(0, 0));
-        l.advance();
-        assert_eq!(l.get(0, 0), None);
-        assert_eq!(l.get(0, 1), Some(1.0));
     }
 }
