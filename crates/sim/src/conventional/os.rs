@@ -14,6 +14,7 @@
 //! closed form it is checked against.
 
 use super::firing;
+use crate::diagonals::{Diagonals, Rows, Slope};
 use crate::matrix::Matrix;
 use crate::pe::Macs;
 use crate::probe::{FeedOperand, Probe};
@@ -36,11 +37,13 @@ pub(crate) fn simulate_tile<P: Probe>(
     let k = a.cols();
     let c = b.cols();
     debug_assert_eq!(k, b.rows());
-    let (a_buf, b_buf) = (a.as_slice(), b.as_slice());
 
+    // The operands along the falling runs a row fires.
+    let a_runs = Rows::from_fn(r, k, Slope::Falling, |i, t| a[(i, t)]);
+    let b_runs = Diagonals::of(b, Slope::Falling);
     let mut out = Matrix::zeros(r, c);
     let acc = out.as_mut_slice();
-    let mut macs = Macs::default();
+    let mut macs = Macs::new(zero_gating);
     let mut slots = 0usize;
     let expected = r * c * k;
     let mut cycle = 0usize;
@@ -64,20 +67,20 @@ pub(crate) fn simulate_tile<P: Probe>(
         }
 
         // MAC phase: every PE holding both operands fires, in k order.
+        // Along row i's run `t` falls from `cycle - i - cols.start`.
         for i in 0..r {
             let cols = firing(cycle, i, k, c);
-            slots += cols.len();
-            let row = i * c;
-            for j in cols {
-                let t = cycle - i - j;
-                acc[row + j] = macs.mac(
-                    acc[row + j],
-                    a_buf[i * k + t],
-                    b_buf[t * c + j],
-                    zero_gating,
-                );
-                probe.mac(cycle, i, j);
+            if cols.is_empty() {
+                continue;
             }
+            slots += cols.len();
+            let t = cycle - i - cols.start;
+            macs.run(
+                &mut acc[i * c + cols.start..i * c + cols.end],
+                a_runs.run(i, t, cols.len()),
+                b_runs.run(t, cols.clone()),
+            );
+            probe.macs(cycle, i, cols);
         }
         cycle += 1;
     }

@@ -14,11 +14,12 @@
 //! enters row `k` in cycle `t + k` and reaches PE `(k, j)` in cycle
 //! `t + k + j`, one cycle after PE `(k - 1, j)` produced the partial sum
 //! of step `t`. Each running sum `(t, j)` therefore accumulates in row
-//! order in the output tile itself, and each cycle visits only the one run
-//! of columns per row that fires. The cycle count still comes from
-//! stepping until every output has left the bottom row.
+//! order, and each cycle visits only the one run of columns per row that
+//! fires. The cycle count still comes from stepping until every output
+//! has left the bottom row.
 
 use super::firing;
+use crate::diagonals::{Diagonals, Rows, Slope};
 use crate::matrix::Matrix;
 use crate::pe::Macs;
 use crate::probe::{FeedOperand, Probe};
@@ -47,11 +48,13 @@ pub(crate) fn simulate_tile<P: Probe>(
     let sc = stationary.cols();
     let t_len = stream.rows();
     debug_assert_eq!(stream.cols(), sr);
-    let (held, fed) = (stationary.as_slice(), stream.as_slice());
+    let held = stationary.as_slice();
 
-    let mut out = Matrix::zeros(t_len, sc);
-    let psum = out.as_mut_slice();
-    let mut macs = Macs::default();
+    // The stream by array row, and the running sums `(t, j)`, along the
+    // falling runs a row fires.
+    let fed = Rows::from_fn(sr, t_len, Slope::Falling, |k, t| stream[(t, k)]);
+    let mut psum = Diagonals::zeros(t_len, sc, Slope::Falling);
+    let mut macs = Macs::new(zero_gating);
     let mut done = 0usize;
     let mut cycle = 0usize;
 
@@ -67,18 +70,23 @@ pub(crate) fn simulate_tile<P: Probe>(
         }
 
         // MAC + partial-sum descent: PE (k, j) adds its product to the
-        // sum PE (k - 1, j) left for step t last cycle.
+        // sum PE (k - 1, j) left for step t last cycle. Along row k's run
+        // `t` falls from `cycle - k - cols.start`.
         for k in 0..sr {
             let cols = firing(cycle, k, t_len, sc);
+            if cols.is_empty() {
+                continue;
+            }
             if k == sr - 1 {
                 done += cols.len();
             }
-            for j in cols {
-                let t = cycle - k - j;
-                let p = t * sc + j;
-                psum[p] = macs.mac(psum[p], held[k * sc + j], fed[t * sr + k], zero_gating);
-                probe.mac(cycle, k, j);
-            }
+            let t = cycle - k - cols.start;
+            macs.run(
+                psum.run_mut(t, cols.clone()),
+                &held[k * sc + cols.start..k * sc + cols.end],
+                fed.run(k, t, cols.len()),
+            );
+            probe.macs(cycle, k, cols);
         }
         cycle += 1;
     }
@@ -86,7 +94,7 @@ pub(crate) fn simulate_tile<P: Probe>(
     macs.settle(stats);
     stats.cycles += sr + cycle;
     stats.tiles += 1;
-    out
+    Matrix::from_fn(t_len, sc, |t, j| psum.get(t, j))
 }
 
 #[cfg(test)]

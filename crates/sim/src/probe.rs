@@ -7,12 +7,22 @@
 //! diagonal feed — the two wavefronts of the paper's Figs. 1 and 3.
 
 use std::fmt;
+use std::ops::Range;
 
 /// Internal observation hook threaded through the tile engines.
 pub(crate) trait Probe {
     /// Called when the PE at tile-local `(r, c)` fires a MAC in `cycle`
     /// (local to the current tile's streaming phase).
     fn mac(&mut self, cycle: usize, r: usize, c: usize);
+
+    /// Called when the PEs `(r, c)` for `c` in `cols` fire a MAC in
+    /// `cycle`.
+    #[inline]
+    fn macs(&mut self, cycle: usize, r: usize, cols: Range<usize>) {
+        for c in cols {
+            self.mac(cycle, r, c);
+        }
+    }
 
     /// Called when an operand element is fetched from its SRAM buffer in
     /// `cycle`. `index` is the element's logical position in the operand
