@@ -39,7 +39,7 @@ pub(crate) fn simulate_tile<P: Probe>(
     debug_assert_eq!(k, b.rows());
 
     // The operands along the falling runs a row fires.
-    let a_runs = Rows::from_fn(r, k, Slope::Falling, |i, t| a[(i, t)]);
+    let a_runs = Rows::of(a, Slope::Falling);
     let b_runs = Diagonals::of(b, Slope::Falling);
     let mut out = Matrix::zeros(r, c);
     let acc = out.as_mut_slice();

@@ -10,7 +10,7 @@
 //! and input-stationary holds `B` (`S_R = K`, `S_C = N`, `T = M`). The
 //! wrappers in `lib.rs` perform those projections.
 //!
-//! The engine steps cycle by cycle but moves no operands: `stream[(t, k)]`
+//! The engine steps cycle by cycle but moves no operands: `stream[(k, t)]`
 //! enters row `k` in cycle `t + k` and reaches PE `(k, j)` in cycle
 //! `t + k + j`, one cycle after PE `(k - 1, j)` produced the partial sum
 //! of step `t`. Each running sum `(t, j)` therefore accumulates in row
@@ -29,11 +29,11 @@ use crate::stats::SimStats;
 ///
 /// * `stationary` — the preloaded `sr x sc` grid (`stationary[(k, j)]` sits
 ///   in PE `(k, j)`).
-/// * `stream` — the `t_len x sr` streaming operand; `stream[(t, k)]` is
-///   consumed by row `k` at logical step `t`.
+/// * `stream` — the `sr x t_len` streaming operand by array row;
+///   `stream[(k, t)]` is consumed by row `k` at logical step `t`.
 ///
 /// Returns the `t_len x sc` output, where
-/// `out[(t, j)] = sum_k stationary[(k, j)] * stream[(t, k)]`.
+/// `out[(t, j)] = sum_k stationary[(k, j)] * stream[(k, t)]`.
 ///
 /// The per-tile cycle count is `2*sr + sc + t_len - 2` (Eq. 1): `sr`
 /// preload cycles plus `t_len + sr + sc - 2` streaming cycles.
@@ -46,13 +46,13 @@ pub(crate) fn simulate_tile<P: Probe>(
 ) -> Matrix {
     let sr = stationary.rows();
     let sc = stationary.cols();
-    let t_len = stream.rows();
-    debug_assert_eq!(stream.cols(), sr);
+    let t_len = stream.cols();
+    debug_assert_eq!(stream.rows(), sr);
     let held = stationary.as_slice();
 
     // The stream by array row, and the running sums `(t, j)`, along the
     // falling runs a row fires.
-    let fed = Rows::from_fn(sr, t_len, Slope::Falling, |k, t| stream[(t, k)]);
+    let fed = Rows::of(stream, Slope::Falling);
     let mut psum = Diagonals::zeros(t_len, sc, Slope::Falling);
     let mut macs = Macs::new(zero_gating);
     let mut done = 0usize;
@@ -116,7 +116,7 @@ mod tests {
         let s = seq(4, 3);
         let y = seq(5, 4);
         let mut stats = SimStats::new();
-        let out = simulate_tile(&s, &y, false, &mut stats, &mut NoProbe);
+        let out = simulate_tile(&s, &y.transposed(), false, &mut stats, &mut NoProbe);
         assert_eq!(out, reference(&s, &y));
     }
 
@@ -126,7 +126,7 @@ mod tests {
             let s = seq(sr, sc);
             let y = seq(t, sr);
             let mut stats = SimStats::new();
-            simulate_tile(&s, &y, false, &mut stats, &mut NoProbe);
+            simulate_tile(&s, &y.transposed(), false, &mut stats, &mut NoProbe);
             assert_eq!(stats.cycles, 2 * sr + sc + t - 2, "sr={sr} sc={sc} t={t}");
             assert_eq!(stats.preload_cycles, sr);
         }
@@ -137,7 +137,7 @@ mod tests {
         let s = seq(4, 3);
         let y = seq(5, 4);
         let mut stats = SimStats::new();
-        simulate_tile(&s, &y, false, &mut stats, &mut NoProbe);
+        simulate_tile(&s, &y.transposed(), false, &mut stats, &mut NoProbe);
         assert_eq!(stats.macs_performed, 4 * 3 * 5);
         // Preload reads + streaming reads.
         assert_eq!(stats.buffer_reads, 4 * 3 + 5 * 4);
@@ -150,7 +150,7 @@ mod tests {
         let mut y = seq(4, 3);
         y[(2, 0)] = 0.0;
         let mut stats = SimStats::new();
-        let out = simulate_tile(&s, &y, true, &mut stats, &mut NoProbe);
+        let out = simulate_tile(&s, &y.transposed(), true, &mut stats, &mut NoProbe);
         assert_eq!(out, reference(&s, &y));
         // One stationary zero hits every t; one stream zero hits every
         // column; the overlap (t=2, j=1, k=... ) is counted once per slot.

@@ -9,11 +9,12 @@
 //! running partial sums, stored row-major, would be read at a stride on
 //! every run; [`Diagonals`] lays it out so the run is one slice. A row
 //! operand (`A`, or a stationary tile's stream) is read backwards on a
-//! falling run; [`Rows`] stores it reversed so the run reads forward.
+//! falling run; [`Rows`] keeps a reversed copy so the run reads forward.
 //! Contiguous runs let the compiler vectorize the MACs of a run, which
 //! are independent PEs, without reordering any PE's own sum.
 
 use crate::matrix::Matrix;
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// How the step `t` moves along a run of ascending columns.
@@ -83,32 +84,33 @@ impl Diagonals {
     }
 }
 
-/// The rows of an `rows x len` operand indexed by `(i, t)`, each stored so
-/// that the runs of one [`Slope`] read forward: a falling run
-/// `t, t - 1, ...` of row `i` is one slice, like a rising one.
+/// The rows of a matrix indexed by `(i, t)`, each readable forward along
+/// the runs of one [`Slope`]: a rising run `t, t + 1, ...` of row `i` is
+/// a slice of the rows as stored, borrowed; a falling run `t, t - 1, ...`
+/// is a slice of a copy with every row reversed.
 #[derive(Debug, Clone)]
-pub(crate) struct Rows {
+pub(crate) struct Rows<'a> {
     len: usize,
     slope: Slope,
-    data: Vec<f32>,
+    data: Cow<'a, [f32]>,
 }
 
-impl Rows {
-    /// Evaluates `f(i, t)` for every element.
-    pub(crate) fn from_fn(
-        rows: usize,
-        len: usize,
-        slope: Slope,
-        mut f: impl FnMut(usize, usize) -> f32,
-    ) -> Self {
-        let mut data = Vec::with_capacity(rows * len);
-        for i in 0..rows {
-            match slope {
-                Slope::Rising => data.extend((0..len).map(|t| f(i, t))),
-                Slope::Falling => data.extend((0..len).rev().map(|t| f(i, t))),
-            }
+impl<'a> Rows<'a> {
+    /// The rows of `m` along `slope`.
+    pub(crate) fn of(m: &'a Matrix, slope: Slope) -> Self {
+        let data = match slope {
+            Slope::Rising => Cow::Borrowed(m.as_slice()),
+            Slope::Falling => m
+                .as_slice()
+                .chunks_exact(m.cols())
+                .flat_map(|row| row.iter().rev().copied())
+                .collect(),
+        };
+        Self {
+            len: m.cols(),
+            slope,
+            data,
         }
-        Self { len, slope, data }
     }
 
     /// The `n` elements of row `i` from step `t` on, following the slope.
@@ -145,9 +147,9 @@ mod tests {
     #[test]
     fn rows_read_forward_along_the_slope() {
         let m = Matrix::from_fn(2, 5, |i, t| (10 * i + t) as f32);
-        let rising = Rows::from_fn(2, 5, Slope::Rising, |i, t| m[(i, t)]);
+        let rising = Rows::of(&m, Slope::Rising);
         assert_eq!(rising.run(1, 2, 3), &[12.0, 13.0, 14.0]);
-        let falling = Rows::from_fn(2, 5, Slope::Falling, |i, t| m[(i, t)]);
+        let falling = Rows::of(&m, Slope::Falling);
         assert_eq!(falling.run(1, 3, 3), &[13.0, 12.0, 11.0]);
         assert_eq!(falling.run(0, 4, 5), &[4.0, 3.0, 2.0, 1.0, 0.0]);
     }

@@ -347,7 +347,7 @@ fn simulate_ws<P: probe::Probe>(
     probe: &mut P,
 ) -> SimResult {
     // Stationary grid holds A transposed: stationary[(k, m)] = a[(m, k)].
-    // Stream holds B transposed: stream[(n, k)] = b[(k, n)]; T = N.
+    // Array row k streams B's row k: stream[(k, n)] = b[(k, n)]; T = N.
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let (tr, tc) = (cfg.array.rows(), cfg.array.cols());
     let mut output = Matrix::zeros(m, n);
@@ -356,11 +356,11 @@ fn simulate_ws<P: probe::Probe>(
     let mut k0 = 0;
     while k0 < k {
         let kt = tr.min(k - k0);
+        let stream = b.sub(k0, 0, kt, n);
         let mut m0 = 0;
         while m0 < m {
             let mt = tc.min(m - m0);
             let stationary = Matrix::from_fn(kt, mt, |kk, mm| a[(m0 + mm, k0 + kk)]);
-            let stream = Matrix::from_fn(n, kt, |nn, kk| b[(k0 + kk, nn)]);
             let tile = stationary_tile(
                 arch,
                 &stationary,
@@ -391,7 +391,7 @@ fn simulate_is<P: probe::Probe>(
     probe: &mut P,
 ) -> SimResult {
     // Stationary grid holds B: stationary[(k, n)] = b[(k, n)].
-    // Stream holds A: stream[(m, k)] = a[(m, k)]; T = M.
+    // Array row k streams A's column k: stream[(k, m)] = a[(m, k)]; T = M.
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     let (tr, tc) = (cfg.array.rows(), cfg.array.cols());
     let mut output = Matrix::zeros(m, n);
@@ -400,11 +400,11 @@ fn simulate_is<P: probe::Probe>(
     let mut k0 = 0;
     while k0 < k {
         let kt = tr.min(k - k0);
+        let stream = Matrix::from_fn(kt, m, |kk, mm| a[(mm, k0 + kk)]);
         let mut n0 = 0;
         while n0 < n {
             let nt = tc.min(n - n0);
             let stationary = b.sub(k0, n0, kt, nt);
-            let stream = a.sub(0, k0, m, kt);
             let tile = stationary_tile(
                 arch,
                 &stationary,
