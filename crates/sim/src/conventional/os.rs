@@ -60,8 +60,8 @@ pub(crate) fn simulate_tile<P: Probe>(
             stats.buffer_reads += 1;
             probe.feed(cycle, FeedOperand::B, (cycle - j, j));
         }
-        let left = firing(cycle, 0, k, r);
-        for i in left.start.max(1)..left.end {
+        let rows = firing(cycle, 0, k, r);
+        for i in rows.start.max(1)..rows.end {
             stats.buffer_reads += 1;
             probe.feed(cycle, FeedOperand::A, (i, cycle - i));
         }
