@@ -28,7 +28,7 @@ pub(crate) enum Slope {
 
 /// A `steps x cols` grid indexed by `(t, j)`, stored so that the runs of
 /// one [`Slope`] are contiguous.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Diagonals {
     cols: usize,
     slope: Slope,
@@ -88,7 +88,7 @@ impl Diagonals {
 /// the runs of one [`Slope`]: a rising run `t, t + 1, ...` of row `i` is
 /// a slice of the rows as stored, borrowed; a falling run `t, t - 1, ...`
 /// is a slice of a copy with every row reversed.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Rows<'a> {
     len: usize,
     slope: Slope,

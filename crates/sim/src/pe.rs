@@ -28,7 +28,7 @@ impl Macs {
     /// power-saving technique); the MAC slot is counted as gated and the
     /// accumulator input passes through unchanged.
     #[inline]
-    pub(crate) fn mac(&mut self, acc_in: f32, a: f32, b: f32) -> f32 {
+    fn mac(&mut self, acc_in: f32, a: f32, b: f32) -> f32 {
         let gate = self.zero_gating && (a == 0.0 || b == 0.0);
         self.gated += usize::from(gate);
         self.performed += usize::from(!gate);
