@@ -15,7 +15,6 @@ pub mod fig12;
 pub mod fig13;
 pub mod fig14;
 pub mod overload;
-pub mod perf;
 pub mod policy;
 pub mod series;
 pub mod serving;

@@ -121,9 +121,8 @@ impl Json {
     }
 
     /// Parses a JSON document (strict enough for everything this
-    /// workspace writes: the figure exports, `BENCH_*.json`, Chrome
-    /// traces). Numbers parse as `f64`; `\uXXXX` escapes decode,
-    /// surrogate pairs included.
+    /// workspace writes: the figure exports and Chrome traces). Numbers
+    /// parse as `f64`; `\uXXXX` escapes decode, surrogate pairs included.
     ///
     /// # Errors
     ///

@@ -26,9 +26,9 @@
 //!   exactly.
 //! * [`SimProfile`] — a self-profiler for the simulator itself:
 //!   wall-clock requests simulated per second, events processed, retime
-//!   passes and jobs touched per retime. The `perf_baseline` binary
-//!   turns its [`ProfileReport`] into the committed `BENCH_*.json` perf
-//!   trajectory (see `docs/observability.md`).
+//!   passes and jobs touched per retime. The `perfbench` benchmark
+//!   reads its counters for the per-layer `pod.*` metrics (see
+//!   `docs/observability.md`).
 //!
 //! # Examples
 //!
@@ -567,8 +567,7 @@ impl TraceSink for AggregatingSink {
 /// [`finish`](SimProfile::finish) snapshots it into a
 /// [`ProfileReport`] — requests simulated per wall-second, events
 /// processed, retime passes and jobs touched per retime. This is the
-/// sink behind the `perf_baseline` binary and the committed
-/// `BENCH_*.json` trajectory.
+/// sink behind the engine counters the `perfbench` benchmark reports.
 #[derive(Debug, Clone)]
 pub struct SimProfile {
     start: Instant,
@@ -679,8 +678,7 @@ pub struct ProfileReport {
     pub wall_s: f64,
     /// Requests that reached a terminal event.
     pub requests: u64,
-    /// Requests simulated per wall-clock second — the headline
-    /// trajectory number the CI regression gate watches.
+    /// Requests simulated per wall-clock second.
     pub requests_per_wall_s: f64,
     /// Trace events processed.
     pub events: u64,

@@ -8,9 +8,13 @@
 # KERNEL_COUNTERS (simulated MACs and cycles, im2col ifmap loads). The
 # counters are simulated, not timed: the same code and seed give the
 # same values at any run length, so any difference is a behaviour
-# change, never host noise.
+# change, never host noise. The same runs are the benchmark's self-check
+# gate: `perfbench` exits 0 even when a check fails, so a run whose final
+# JSON line lacks `"correct": true` fails the script before any counter
+# is compared.
 #
-#   bash scripts/perf_counts.sh            # check (exit 1 on any mismatch)
+#   bash scripts/perf_counts.sh            # check (exit 1 on a failed
+#                                          # self-check or any mismatch)
 #   bash scripts/perf_counts.sh --write    # regenerate the expected file
 #
 # Each line of the expected file is `<workload> <counter> <value>`.
@@ -29,19 +33,31 @@ EXPECTED=scripts/perf_counts.expected
 
 actual=$(mktemp)
 trap 'rm -f "$actual"' EXIT
+failed_checks=""
 for w in $WORKLOADS; do
     case "$w" in
         kernel_conv) counters=$KERNEL_COUNTERS ;;
         *) counters=$SERVE_COUNTERS ;;
     esac
+    out=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload "$w" --seconds 1 --trace 1 2>/dev/null)
+    last=$(tail -n 1 <<<"$out")
+    echo "$w: ${last%%, \"metrics\"*}}"
+    case "$last" in
+        *'"correct": true'*) ;;
+        *) failed_checks="$failed_checks $w" ;;
+    esac
     # The human-readable lines above the JSON are `<metric> <value> <unit>`.
-    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
-        --workload "$w" --seconds 1 --trace 1 2>/dev/null \
-        | awk -v w="$w" -v want="$counters" '
-            BEGIN { n = split(want, c, /[ \t\n]+/); for (i = 1; i <= n; i++) keep[c[i]] = 1 }
-            ($1 in keep) && NF == 3 { v = $2; sub(/\.0+$/, "", v); print w, $1, v }
-        ' >>"$actual"
+    awk -v w="$w" -v want="$counters" '
+        BEGIN { n = split(want, c, /[ \t\n]+/); for (i = 1; i <= n; i++) keep[c[i]] = 1 }
+        ($1 in keep) && NF == 3 { v = $2; sub(/\.0+$/, "", v); print w, $1, v }
+    ' <<<"$out" >>"$actual"
 done
+
+if [ -n "$failed_checks" ]; then
+    echo "perfbench self-checks failed on:$failed_checks" >&2
+    exit 1
+fi
 
 if [ "${1:-}" = "--write" ]; then
     cp "$actual" "$EXPECTED"
