@@ -1181,6 +1181,22 @@ impl RunningJob {
         through_j.map(|through_j| (p + 1 + m, first + through_j))
     }
 
+    /// Whether the job can take an in-flight join of its batch key at
+    /// `now`: a keyed batch below `max_batch` on one array, not
+    /// suspending, still running and not yet in its final drain. Once
+    /// false for a running job it stays false until the job leaves the
+    /// running set: batches only grow, `next_tile` only advances, and
+    /// `suspend_after` is cleared only by the checkpoint that parks the
+    /// job.
+    fn can_grow(&self, max_batch: usize, now: u64) -> bool {
+        self.key.is_some()
+            && self.used.len() == 1
+            && self.suspend_after.is_none()
+            && self.batch.requests.len() < max_batch
+            && self.end > now
+            && self.next_tile < self.walk.len()
+    }
+
     /// Checkpoint drain billed when suspending after tile `j`: under
     /// overlapped drains the tile's partials must be read out before the
     /// array can be handed over (per-tile accounting already billed it).
@@ -1451,6 +1467,11 @@ pub(crate) struct PodEngine<'a> {
     completions: Vec<Completion>,
     shed: Vec<ShedRecord>,
     n: Counters,
+    /// The queue's [`front_changes`](QueueIndex::front_changes) after
+    /// the last join walk, which every remaining front declined; `None`
+    /// once a job that can take joins has entered the running set
+    /// since. See [`join`](Self::join).
+    join_walked: Option<u64>,
 }
 
 impl<'a> PodEngine<'a> {
@@ -1510,6 +1531,7 @@ impl<'a> PodEngine<'a> {
             completions: Vec::new(),
             shed: Vec::new(),
             n: Counters::default(),
+            join_walked: None,
         }
     }
 
@@ -1796,6 +1818,7 @@ impl<'a> PodEngine<'a> {
             array: ai,
             cycle: now,
         });
+        self.note_joinable(&job);
         self.running.push(job);
     }
 
@@ -1856,7 +1879,7 @@ impl<'a> PodEngine<'a> {
         }
         self.events.update(seq, completion);
         let n_reqs = batch.requests.len();
-        self.running.push(RunningJob {
+        let job = RunningJob {
             seq,
             key: batch.requests[0].batch_key(),
             batch,
@@ -1884,7 +1907,17 @@ impl<'a> PodEngine<'a> {
             baseline_cycles: cycles as u64,
             preemptions: 0,
             checkpoint_dram_bytes: 0,
-        });
+        };
+        self.note_joinable(&job);
+        self.running.push(job);
+    }
+
+    /// A job entering the running set that can take joins voids the
+    /// last join walk's verdict.
+    fn note_joinable(&mut self, job: &RunningJob) {
+        if job.can_grow(self.pod.scheduler.max_batch(), self.now) {
+            self.join_walked = None;
+        }
     }
 
     /// The dispatch plan `(pr, pc, dataflow, cycles)` for `shape` with
@@ -1951,20 +1984,35 @@ impl<'a> PodEngine<'a> {
     /// Continuous batching: queued requests whose batch key matches a
     /// running coalesced batch join it in flight instead of waiting.
     /// Returns whether any request joined.
+    ///
+    /// The walk runs only when its answer can differ from the last
+    /// one's. After a walk every remaining front has declined, and a
+    /// declined front keeps declining while the fronts stay the same
+    /// and no job that can take joins enters the running set (`launch`,
+    /// `resume`): between those events the growable set only shrinks
+    /// (see [`RunningJob::can_grow`]). The queue counts front changes,
+    /// so a repeat of the last walk is skipped exactly.
     fn join(&mut self) -> bool {
         let pod = self.pod;
         if !pod.scheduler.admits_inflight_joins() || self.queue.is_empty() {
             return false;
         }
         let (now, max_batch) = (self.now, pod.scheduler.max_batch());
-        let can_grow = |j: &RunningJob| {
-            j.used.len() == 1
-                && j.suspend_after.is_none()
-                && j.batch.requests.len() < max_batch
-                && j.end > now
-                && j.next_tile < j.walk.len()
-        };
-        if !self.running.iter().any(|j| j.key.is_some() && can_grow(j)) {
+        let fronts = self.queue.front_changes();
+        if self.join_walked == Some(fronts) {
+            debug_assert!(
+                self.queue.fronts().all(|r| r.batch_key().is_none_or(|key| {
+                    !self
+                        .running
+                        .iter()
+                        .any(|j| j.key == Some(key) && j.can_grow(max_batch, now))
+                })),
+                "join walk skipped while a front could join"
+            );
+            return false;
+        }
+        if !self.running.iter().any(|j| j.can_grow(max_batch, now)) {
+            self.join_walked = Some(fronts);
             return false;
         }
         let mut joined = false;
@@ -1980,7 +2028,7 @@ impl<'a> PodEngine<'a> {
             let Some(job) = self
                 .running
                 .iter_mut()
-                .filter(|j| j.key == Some(key) && can_grow(j))
+                .filter(|j| j.key == Some(key) && j.can_grow(max_batch, now))
                 .min_by_key(|j| j.seq)
             else {
                 return false;
@@ -2009,6 +2057,7 @@ impl<'a> PodEngine<'a> {
             joined = true;
             true
         });
+        self.join_walked = Some(self.queue.front_changes());
         joined
     }
 
@@ -2052,8 +2101,21 @@ impl<'a> PodEngine<'a> {
             return;
         };
         let (now, timing) = (self.now, self.timing);
-        let total_weight: usize = self.running.iter().map(|j| j.weight()).sum();
         let urgent = most_urgent.deadline;
+        if urgent <= now {
+            // Every checkpoint completes after its tile boundary, which
+            // is strictly after `now`, so none can be achievable under
+            // either memory model: the victim search would find nothing.
+            debug_assert!(
+                self.running
+                    .iter()
+                    .filter(|j| j.deadline() > urgent)
+                    .all(|j| j.next_boundary(now, &timing).is_none_or(|(_, b)| b > now)),
+                "a tile boundary at or before now"
+            );
+            return;
+        }
+        let total_weight: usize = self.running.iter().map(|j| j.weight()).sum();
         let urgent_shape = most_urgent.workload.shape;
         let mut urgent_ests: Vec<(ArrayConfig, u64)> = Vec::new();
         loop {

@@ -274,7 +274,9 @@ struct Queued {
 ///   front, and the heap is rebuilt from the fronts once stale entries
 ///   dominate it;
 /// * [`queued_work`](Self::queued_work) is a running sum of the
-///   estimates passed to `push`.
+///   estimates passed to `push`;
+/// * a counter moves on every change of the fronts, so the pod engine
+///   can tell that no front changed since its last join walk.
 ///
 /// Each answer equals the one a scan of a plain enqueue-order queue
 /// would give, ties included.
@@ -307,6 +309,9 @@ pub struct QueueIndex {
     next_stamp: u64,
     len: usize,
     queued_work: u64,
+    /// Front changes so far: bumped by [`arm`](Self::arm), which every
+    /// front change calls.
+    front_changes: u64,
 }
 
 impl QueueIndex {
@@ -347,6 +352,12 @@ impl QueueIndex {
         if fifo.len() == 1 {
             self.arm(r.client);
         }
+    }
+
+    /// How many times the fronts have changed: equal counts mean
+    /// [`fronts`](Self::fronts) is the same set of requests.
+    pub(crate) fn front_changes(&self) -> u64 {
+        self.front_changes
     }
 
     /// The eligible requests (each client's oldest queued one), in
@@ -439,6 +450,7 @@ impl QueueIndex {
     /// once stale entries outnumber live ones the heap is rebuilt from
     /// the fronts, which bounds its size by the client count.
     fn arm(&mut self, client: usize) {
+        self.front_changes += 1;
         let key = |c: usize, q: &Queued| Reverse((q.req.deadline, q.req.id, q.stamp, c));
         if let Some(f) = self.fifos.get(&client) {
             self.urgent.push(key(client, &f[0]));
@@ -1172,6 +1184,40 @@ mod tests {
                 }
                 assert_agrees(&mut q, &m);
             }
+        }
+
+        /// The front-change counter moves exactly when the eligible set
+        /// changes, over random pushes, pops of every kind and join
+        /// walks: the pod engine skips a join walk on an unmoved count,
+        /// so a missed change would skip a walk that could take work,
+        /// and a spurious one only costs a futile walk.
+        #[test]
+        fn front_changes_move_exactly_when_fronts_change(
+            seed in 0u64..1_000_000,
+            clients in 1usize..6,
+        ) {
+            let mut rng = ServeRng::new(seed);
+            let mut q = QueueIndex::new();
+            let ids = |q: &QueueIndex| q.fronts().map(|r| r.id).collect::<Vec<_>>();
+            let mut moved = 0;
+            for id in 0..300 {
+                let (before, count) = (ids(&q), q.front_changes());
+                match rng.below(8) {
+                    0..=3 => q.push(req(id, rng.below(clients), 1, 8 + rng.below(2), 16), 0),
+                    4 => drop(q.pop_front()),
+                    5 => drop(q.pop_most_urgent()),
+                    6 => drop(q.pop_client(rng.below(clients))),
+                    _ => {
+                        let key = batch_key_of(GemmShape::new(1, 8 + rng.below(2), 16));
+                        let mut taken = Vec::new();
+                        q.take_in_order(joiner(&mut taken, rng.below(4), key));
+                    }
+                }
+                let changed = ids(&q) != before;
+                prop_assert_eq!(q.front_changes() != count, changed);
+                moved += usize::from(changed);
+            }
+            prop_assert!(moved > 0);
         }
     }
 }

@@ -24,10 +24,10 @@
 //!   time-in-service vs bandwidth stall) and the per-request
 //!   [`RequestOutcome`] records that let tests pin the decomposition
 //!   exactly.
-//! * [`SimProfile`] — a self-profiler for the simulator itself:
-//!   wall-clock requests simulated per second, events processed, retime
-//!   passes and jobs touched per retime. The `perfbench` benchmark
-//!   reads its counters for the per-layer `pod.*` metrics (see
+//! * [`SimProfile`] — a self-profiler for the simulator itself: events
+//!   processed, dispatches, retime passes and jobs touched per retime,
+//!   and the planner's cache counters. The `perfbench` benchmark reads
+//!   its counters for the per-layer `pod.*` metrics (see
 //!   `docs/observability.md`).
 //!
 //! # Examples
@@ -55,7 +55,6 @@
 use crate::request::RequestClass;
 use crate::scheduler::ShedReason;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 /// Terminal payload shared by [`TraceEvent::Completed`] and
 /// [`TraceEvent::DeadlineMissed`]: everything needed to decompose one
@@ -561,16 +560,12 @@ impl TraceSink for AggregatingSink {
     }
 }
 
-/// Self-profiles the simulator: how fast the event engine itself runs.
-///
-/// The wall clock starts at construction ([`SimProfile::new`]) and
-/// [`finish`](SimProfile::finish) snapshots it into a
-/// [`ProfileReport`] — requests simulated per wall-second, events
-/// processed, retime passes and jobs touched per retime. This is the
-/// sink behind the engine counters the `perfbench` benchmark reports.
-#[derive(Debug, Clone)]
+/// Self-profiles the simulator: how much work the event engine does —
+/// events processed, dispatches, retime passes and jobs touched per
+/// retime, and the planner's cache counters. This is the sink behind
+/// the engine counters the `perfbench` benchmark reports.
+#[derive(Debug, Clone, Default)]
 pub struct SimProfile {
-    start: Instant,
     /// Events delivered to the sink.
     pub events: u64,
     /// Requests that reached a terminal event.
@@ -595,56 +590,9 @@ pub struct SimProfile {
 }
 
 impl SimProfile {
-    /// Starts the wall clock.
+    /// All counters at zero.
     pub fn new() -> Self {
-        SimProfile {
-            start: Instant::now(),
-            events: 0,
-            completed: 0,
-            retime_passes: 0,
-            retime_jobs_touched: 0,
-            dispatches: 0,
-            admitted: 0,
-            shed: 0,
-            plan_cache_hits: 0,
-            plan_cache_misses: 0,
-            plan_grids_scored: 0,
-        }
-    }
-
-    /// Snapshots the profile into a report (the wall clock keeps
-    /// running; `finish` may be called repeatedly).
-    pub fn finish(&self) -> ProfileReport {
-        let wall_s = self.start.elapsed().as_secs_f64();
-        ProfileReport {
-            wall_s,
-            requests: self.completed,
-            requests_per_wall_s: if wall_s > 0.0 {
-                self.completed as f64 / wall_s
-            } else {
-                0.0
-            },
-            events: self.events,
-            dispatches: self.dispatches,
-            requests_admitted: self.admitted,
-            requests_shed: self.shed,
-            retime_passes: self.retime_passes,
-            retime_jobs_touched: self.retime_jobs_touched,
-            mean_jobs_per_retime: if self.retime_passes == 0 {
-                0.0
-            } else {
-                self.retime_jobs_touched as f64 / self.retime_passes as f64
-            },
-            plan_cache_hits: self.plan_cache_hits,
-            plan_cache_misses: self.plan_cache_misses,
-            plan_grids_scored: self.plan_grids_scored,
-        }
-    }
-}
-
-impl Default for SimProfile {
-    fn default() -> Self {
-        SimProfile::new()
+        Self::default()
     }
 }
 
@@ -669,38 +617,6 @@ impl TraceSink for SimProfile {
         self.plan_cache_misses += misses;
         self.plan_grids_scored += grids_scored;
     }
-}
-
-/// What [`SimProfile::finish`] reports: the simulator's own speed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileReport {
-    /// Wall-clock seconds profiled.
-    pub wall_s: f64,
-    /// Requests that reached a terminal event.
-    pub requests: u64,
-    /// Requests simulated per wall-clock second.
-    pub requests_per_wall_s: f64,
-    /// Trace events processed.
-    pub events: u64,
-    /// Dispatches issued.
-    pub dispatches: u64,
-    /// Requests admitted into a scheduler queue.
-    pub requests_admitted: u64,
-    /// Requests shed by admission control.
-    pub requests_shed: u64,
-    /// Retime passes run by the shared-memory model.
-    pub retime_passes: u64,
-    /// Total running jobs touched across all retime passes.
-    pub retime_jobs_touched: u64,
-    /// Mean jobs touched per retime pass.
-    pub mean_jobs_per_retime: f64,
-    /// Dispatch-plan cache hits across all pods.
-    pub plan_cache_hits: u64,
-    /// Dispatch-plan cache misses (cold planner passes).
-    pub plan_cache_misses: u64,
-    /// Candidate grids scored by cold planner passes (the `1×1`
-    /// no-shard baseline included).
-    pub plan_grids_scored: u64,
 }
 
 /// Checks the lifecycle-conservation laws over a recorded event stream:
