@@ -9,8 +9,14 @@ pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    sorted[nearest_rank(sorted.len(), q)]
+}
+
+/// The 0-based index of the nearest-rank `q` percentile of `n > 0`
+/// sorted samples.
+fn nearest_rank(n: usize, q: f64) -> usize {
+    let rank = (q * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 /// Distribution summary of a latency population, in cycles.
@@ -31,18 +37,27 @@ pub struct LatencySummary {
 impl LatencySummary {
     /// Summarizes a population of latencies (cycles). Empty input gives
     /// the all-zero summary.
+    ///
+    /// The percentiles are the nearest-rank ones of [`percentile`],
+    /// found by selection instead of a sort: selecting rank `i` leaves
+    /// the `i + 1` smallest samples in `..=i`, so each lower rank is
+    /// selected within the prefix the higher one left.
     pub fn from_cycles(mut samples: Vec<u64>) -> Self {
         if samples.is_empty() {
             return LatencySummary::default();
         }
-        samples.sort_unstable();
+        let n = samples.len();
+        let [i50, i95, i99] = [0.50, 0.95, 0.99].map(|q| nearest_rank(n, q));
+        let p99 = *samples.select_nth_unstable(i99).1;
+        let p95 = *samples[..=i99].select_nth_unstable(i95).1;
+        let p50 = *samples[..=i95].select_nth_unstable(i50).1;
         let sum: u128 = samples.iter().map(|&c| c as u128).sum();
         LatencySummary {
-            p50: percentile(&samples, 0.50),
-            p95: percentile(&samples, 0.95),
-            p99: percentile(&samples, 0.99),
-            mean: sum as f64 / samples.len() as f64,
-            max: *samples.last().expect("non-empty"),
+            p50,
+            p95,
+            p99,
+            mean: sum as f64 / n as f64,
+            max: *samples.iter().max().expect("non-empty"),
         }
     }
 }
@@ -399,6 +414,8 @@ impl fmt::Display for PodMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::ServeRng;
+    use proptest::prelude::*;
 
     #[test]
     fn percentile_nearest_rank() {
@@ -421,6 +438,37 @@ mod tests {
             LatencySummary::from_cycles(vec![]),
             LatencySummary::default()
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The selection-based summary equals the summary of the sorted
+        /// samples, at 1, 2 and 3 samples and at a random count, over
+        /// all-equal values, heavy duplicates and spread-out values.
+        #[test]
+        fn summary_matches_sorted_definition(
+            seed in 0u64..1_000_000,
+            len in 4usize..400,
+            spread in 0usize..4,
+        ) {
+            let mut rng = ServeRng::new(seed);
+            let range = [1, 3, 100, 1 << 40][spread];
+            for n in [1, 2, 3, len] {
+                let samples: Vec<u64> = (0..n).map(|_| rng.below(range) as u64).collect();
+                let mut sorted = samples.clone();
+                sorted.sort_unstable();
+                let sum: u128 = sorted.iter().map(|&c| c as u128).sum();
+                let want = LatencySummary {
+                    p50: percentile(&sorted, 0.50),
+                    p95: percentile(&sorted, 0.95),
+                    p99: percentile(&sorted, 0.99),
+                    mean: sum as f64 / n as f64,
+                    max: sorted[n - 1],
+                };
+                prop_assert_eq!(LatencySummary::from_cycles(samples), want);
+            }
+        }
     }
 
     #[test]

@@ -1472,6 +1472,9 @@ pub(crate) struct PodEngine<'a> {
     /// once a job that can take joins has entered the running set
     /// since. See [`join`](Self::join).
     join_walked: Option<u64>,
+    /// The distinct keys of the running jobs that can grow, refilled by
+    /// every join walk; kept to reuse its allocation.
+    join_keys: Vec<BatchKey>,
 }
 
 impl<'a> PodEngine<'a> {
@@ -1532,6 +1535,7 @@ impl<'a> PodEngine<'a> {
             shed: Vec::new(),
             n: Counters::default(),
             join_walked: None,
+            join_keys: Vec::new(),
         }
     }
 
@@ -1992,6 +1996,10 @@ impl<'a> PodEngine<'a> {
     /// `resume`): between those events the growable set only shrinks
     /// (see [`RunningJob::can_grow`]). The queue counts front changes,
     /// so a repeat of the last walk is skipped exactly.
+    ///
+    /// A walk offers only the fronts keyed like a job that can grow: any
+    /// other front would be declined with no side effect, since the
+    /// growable set only shrinks during the walk.
     fn join(&mut self) -> bool {
         let pod = self.pod;
         if !pod.scheduler.admits_inflight_joins() || self.queue.is_empty() {
@@ -2000,31 +2008,24 @@ impl<'a> PodEngine<'a> {
         let (now, max_batch) = (self.now, pod.scheduler.max_batch());
         let fronts = self.queue.front_changes();
         if self.join_walked == Some(fronts) {
-            debug_assert!(
-                self.queue.fronts().all(|r| r.batch_key().is_none_or(|key| {
-                    !self
-                        .running
-                        .iter()
-                        .any(|j| j.key == Some(key) && j.can_grow(max_batch, now))
-                })),
-                "join walk skipped while a front could join"
-            );
+            self.debug_check_no_front_can_join();
             return false;
         }
-        if !self.running.iter().any(|j| j.can_grow(max_batch, now)) {
-            self.join_walked = Some(fronts);
-            return false;
+        self.join_keys.clear();
+        let growable = self.running.iter().filter(|j| j.can_grow(max_batch, now));
+        for key in growable.filter_map(|j| j.key) {
+            if !self.join_keys.contains(&key) {
+                self.join_keys.push(key);
+            }
         }
         let mut joined = false;
         // Only a request with no earlier entry of its own client still
         // queued may join, and a client that cannot join blocks the rest
         // of its stream: exactly the walk `take_in_order` makes.
-        self.queue.take_in_order(|cand| {
-            // A keyed request joins the earliest-dispatched compatible
-            // job, if any.
-            let Some(key) = cand.batch_key() else {
-                return false;
-            };
+        self.queue.take_in_order(&self.join_keys, |cand| {
+            // An offered request joins the earliest-dispatched compatible
+            // job, if any is still growable.
+            let key = cand.batch_key().expect("only keyed fronts are offered");
             let Some(job) = self
                 .running
                 .iter_mut()
@@ -2058,7 +2059,23 @@ impl<'a> PodEngine<'a> {
             true
         });
         self.join_walked = Some(self.queue.front_changes());
+        self.debug_check_no_front_can_join();
         joined
+    }
+
+    /// Debug builds: after a join walk, or in place of a skipped one, no
+    /// queued front has a growable running job with its key.
+    fn debug_check_no_front_can_join(&self) {
+        let (now, max_batch) = (self.now, self.pod.scheduler.max_batch());
+        debug_assert!(
+            self.queue.fronts().all(|r| r.batch_key().is_none_or(|key| {
+                !self
+                    .running
+                    .iter()
+                    .any(|j| j.key == Some(key) && j.can_grow(max_batch, now))
+            })),
+            "a queued front could still join a running job"
+        );
     }
 
     /// Concurrency changed (a job started, finished, checkpointed or
