@@ -13,10 +13,10 @@
 //!   one key comparison;
 //! * **pop** removes the cached minimum and re-scans forward from the
 //!   current day — the cursor only ever advances (the simulation clock
-//!   is monotone and every push carries `arrival ≥ now`, including
-//!   closed-loop reissues, whose issuing job finalizes at `end = now`),
-//!   so the scan cost telescopes into the total day span plus one slot
-//!   per pop.
+//!   is monotone, input arrives in canonical order behind the feed's
+//!   watermark, and closed-loop reissues carry `arrival ≥ now`, since
+//!   their issuing job finalizes at `end = now`), so the scan cost
+//!   telescopes into the total day span plus one slot per pop.
 //!
 //! Arrivals beyond the ring's day window live in an overflow
 //! `BTreeMap` keyed by the canonical key and migrate into the ring as
@@ -51,31 +51,31 @@ pub(crate) struct ArrivalCalendar {
 }
 
 impl ArrivalCalendar {
-    /// Builds the calendar sized for `trace` (the seeded arrivals) and
-    /// pushes every request. Width targets one request per day over the
-    /// seeded span; later (closed-loop) pushes beyond the window fall
-    /// into the overflow map and migrate in as the cursor advances.
-    pub(crate) fn seed(trace: &[Request]) -> Self {
-        let n = trace.len().max(1);
-        let span = trace.iter().map(|r| r.arrival).max().unwrap_or(0) + 1;
-        let width = (span / n as u64).max(1);
-        let nslots = n.next_power_of_two().min(1 << 16);
-        let mut cal = ArrivalCalendar {
-            width,
+    /// An empty calendar of `capacity.next_power_of_two()` buckets (at
+    /// most 2^16) of `width` cycles each. Pop order is exact at any
+    /// sizes: they only set how far a pop scans and how much waits in
+    /// the overflow map. A streamed feed sizes it from hints, since the
+    /// arrivals are not known up front.
+    pub(crate) fn new(width: u64, capacity: usize) -> Self {
+        let nslots = capacity.max(1).next_power_of_two().min(1 << 16);
+        ArrivalCalendar {
+            width: width.max(1),
             slots: vec![Vec::new(); nslots],
             day: 0,
             min: None,
             overflow: BTreeMap::new(),
             len: 0,
-        };
-        // Seed in canonical order: `push` requires days to never move
-        // below the window anchor (generator traces arrive unsorted).
-        let mut sorted: Vec<Request> = trace.to_vec();
-        sorted.sort_unstable_by_key(|r| (r.arrival, r.id));
-        for r in sorted {
-            cal.push(r);
         }
-        cal
+    }
+
+    /// An empty calendar sized for `trace`: width targets one request
+    /// per day over its span; later (closed-loop) pushes beyond the
+    /// window fall into the overflow map and migrate in as the cursor
+    /// advances.
+    pub(crate) fn for_trace(trace: &[Request]) -> Self {
+        let n = trace.len().max(1);
+        let span = trace.iter().map(|r| r.arrival).max().unwrap_or(0) + 1;
+        ArrivalCalendar::new(span / n as u64, n)
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -88,9 +88,9 @@ impl ArrivalCalendar {
     }
 
     /// Inserts `r`. Requires `r.arrival`'s day at or after the window
-    /// anchor (the current minimum's day): the pod loop only pushes
-    /// reissues with `arrival ≥ now`, and [`seed`](Self::seed) inserts
-    /// in canonical order.
+    /// anchor (the current minimum's day): the pod loop pushes its input
+    /// in canonical order behind the feed's watermark, and closed-loop
+    /// reissues with `arrival ≥ now`.
     pub(crate) fn push(&mut self, r: Request) {
         let d = r.arrival / self.width;
         self.len += 1;
@@ -207,12 +207,24 @@ mod tests {
         }
     }
 
+    /// A calendar sized for `trace` holding all of it, pushed in
+    /// canonical order as the pod engine does.
+    fn seeded(trace: &[Request]) -> ArrivalCalendar {
+        let mut cal = ArrivalCalendar::for_trace(trace);
+        let mut sorted = trace.to_vec();
+        sorted.sort_unstable_by_key(|r| (r.arrival, r.id));
+        for r in sorted {
+            cal.push(r);
+        }
+        cal
+    }
+
     #[test]
     fn drains_in_exact_key_order() {
         let mut rng = Lcg(0x9E3779B97F4A7C15);
         // Duplicated arrival cycles force the id tie-break.
         let trace: Vec<Request> = (0..500).map(|id| req(id, rng.next(800))).collect();
-        let mut cal = ArrivalCalendar::seed(&trace);
+        let mut cal = seeded(&trace);
         let mut keys: Vec<(u64, usize)> = trace.iter().map(|r| (r.arrival, r.id)).collect();
         keys.sort_unstable();
         for want in keys {
@@ -235,7 +247,7 @@ mod tests {
 
         let mut rng = Lcg(42);
         let seed: Vec<Request> = (0..64).map(|id| req(id, rng.next(64))).collect();
-        let mut cal = ArrivalCalendar::seed(&seed);
+        let mut cal = seeded(&seed);
         let mut oracle: BinaryHeap<Reverse<(u64, usize)>> =
             seed.iter().map(|r| Reverse((r.arrival, r.id))).collect();
 
@@ -262,9 +274,40 @@ mod tests {
         }
     }
 
+    /// A streamed calendar is sized from hints, not from its arrivals:
+    /// pushed in canonical batches and drained between them, it pops in
+    /// exact key order at any width and ring size.
+    #[test]
+    fn streamed_pops_are_exact_at_any_width() {
+        let mut rng = Lcg(7);
+        let mut trace: Vec<Request> = (0..400).map(|id| req(id, rng.next(3_000))).collect();
+        trace.sort_unstable_by_key(|r| (r.arrival, r.id));
+        for (width, capacity) in [(1, 1), (1, 512), (13, 4), (1 << 40, 64)] {
+            let mut cal = ArrivalCalendar::new(width, capacity);
+            let mut popped = Vec::new();
+            for batch in trace.chunks(37) {
+                for &r in batch {
+                    cal.push(r);
+                }
+                // Drain everything strictly before the batch's last
+                // arrival, as an engine below that watermark would.
+                let w = batch.last().expect("non-empty chunk").arrival;
+                while cal.peek_arrival().is_some_and(|a| a < w) {
+                    popped.push(cal.pop().expect("peeked"));
+                }
+            }
+            while let Some(r) = cal.pop() {
+                popped.push(r);
+            }
+            let got: Vec<(u64, usize)> = popped.iter().map(|r| (r.arrival, r.id)).collect();
+            let want: Vec<(u64, usize)> = trace.iter().map(|r| (r.arrival, r.id)).collect();
+            assert_eq!(got, want, "width {width}, capacity {capacity}");
+        }
+    }
+
     #[test]
     fn empty_and_single_element() {
-        let mut cal = ArrivalCalendar::seed(&[]);
+        let mut cal = seeded(&[]);
         assert!(cal.is_empty());
         assert_eq!(cal.peek_arrival(), None);
         assert_eq!(cal.pop().map(|r| r.id), None);

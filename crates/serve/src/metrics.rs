@@ -178,25 +178,30 @@ pub struct ClassMetrics {
 
 impl ClassMetrics {
     /// Per-class breakdown of `completions`, in [`RequestClass::ALL`]
-    /// order, skipping classes with no traffic.
-    pub fn from_completions(completions: &[Completion]) -> Vec<ClassMetrics> {
+    /// order, skipping classes with no traffic. One pass over the
+    /// records, which need not sit in one slice.
+    pub fn from_completions<'c>(
+        completions: impl IntoIterator<Item = &'c Completion>,
+    ) -> Vec<ClassMetrics> {
+        // Per class: end-to-end latencies, SLO violations, stall cycles.
+        let mut by_class: [(Vec<u64>, usize, u64); RequestClass::ALL.len()] = Default::default();
+        for c in completions {
+            // `ALL` lists the variants in declaration order.
+            let (totals, late, stall) = &mut by_class[c.class as usize];
+            totals.push(c.total_cycles());
+            *late += usize::from(!c.met_deadline());
+            *stall += c.bandwidth_stall_cycles;
+        }
         RequestClass::ALL
-            .iter()
-            .filter_map(|&class| {
-                let of_class: Vec<&Completion> =
-                    completions.iter().filter(|c| c.class == class).collect();
-                if of_class.is_empty() {
-                    return None;
-                }
-                Some(ClassMetrics {
-                    class,
-                    completed: of_class.len(),
-                    slo_violations: of_class.iter().filter(|c| !c.met_deadline()).count(),
-                    total: LatencySummary::from_cycles(
-                        of_class.iter().map(|c| c.total_cycles()).collect(),
-                    ),
-                    bandwidth_stall_cycles: of_class.iter().map(|c| c.bandwidth_stall_cycles).sum(),
-                })
+            .into_iter()
+            .zip(by_class)
+            .filter(|(_, (totals, ..))| !totals.is_empty())
+            .map(|(class, (totals, late, stall))| ClassMetrics {
+                class,
+                completed: totals.len(),
+                slo_violations: late,
+                total: LatencySummary::from_cycles(totals),
+                bandwidth_stall_cycles: stall,
             })
             .collect()
     }
@@ -524,6 +529,10 @@ mod tests {
             mk(1, RequestClass::Decode, 300, 200), // violated
             mk(2, RequestClass::Prefill, 500, 900),
         ];
+        assert!(RequestClass::ALL
+            .iter()
+            .enumerate()
+            .all(|(i, &c)| c as usize == i));
         let per = ClassMetrics::from_completions(&cs);
         assert_eq!(per.len(), 2);
         let decode = per

@@ -43,6 +43,21 @@ FILES+=(crates/serve/src/pod.rs)
 FROMS+=($'            cycle: now,\n        });\n        self.note_joinable(&job);\n        self.running.push(job);')
 TOS+=($'            cycle: now,\n        });\n        self.running.push(job);')
 
+# The watermark a pod's feed is sent with covers only the arrivals
+# still to route, not the next failure, whose refugees re-arrive at the
+# failure cycle: a refugee can land below a watermark already sent.
+NAMES+=("watermark ignores the next failure")
+FILES+=(crates/serve/src/cluster.rs)
+FROMS+=("let watermark = unrouted.min(next_fail);")
+TOS+=("let watermark = unrouted;")
+
+# The pod engine settles the watermark cycle itself, before the feed
+# has delivered every arrival at that cycle.
+NAMES+=("engine settles at the watermark")
+FILES+=(crates/serve/src/pod.rs)
+FROMS+=("if next < self.watermark {")
+TOS+=("if next <= self.watermark {")
+
 if [ $# -gt 1 ]; then
     echo "usage: bash scripts/mutants.sh [<rev>]" >&2
     exit 2
