@@ -135,6 +135,11 @@ impl Tensor3 {
         self.data.is_empty()
     }
 
+    /// Row `y` of channel `c`, `width` elements.
+    pub(crate) fn row(&self, c: usize, y: usize) -> &[f32] {
+        &self.data[self.index(c, y, 0)..][..self.width]
+    }
+
     /// Bounds-checked element access.
     pub fn get(&self, c: usize, y: usize, x: usize) -> Option<f32> {
         if c < self.channels && y < self.height && x < self.width {
@@ -268,6 +273,12 @@ impl FilterBank {
         self.kernel
     }
 
+    /// The weights in `(count, channels, k, k)` order: filter after
+    /// filter, each channel-major, then row-major within the kernel.
+    pub(crate) fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Bounds-checked element access.
     pub fn get(&self, m: usize, c: usize, y: usize, x: usize) -> Option<f32> {
         if m < self.count && c < self.channels && y < self.kernel && x < self.kernel {
@@ -304,6 +315,15 @@ mod tests {
         assert!(Tensor3::from_vec(1, 2, 2, vec![0.0; 3]).is_err());
         assert!(Tensor3::from_vec(0, 2, 2, vec![]).is_err());
         assert!(Tensor3::from_vec(1, 2, 2, vec![0.0; 4]).is_ok());
+    }
+
+    #[test]
+    fn rows_and_weights_in_storage_order() {
+        let t = Tensor3::from_fn(2, 3, 4, |c, y, x| (c * 100 + y * 10 + x) as f32);
+        assert_eq!(t.row(1, 2), &[120.0, 121.0, 122.0, 123.0]);
+        let f = FilterBank::from_fn(2, 2, 2, |m, c, y, x| (8 * m + 4 * c + 2 * y + x) as f32);
+        let expected: Vec<f32> = (0..16).map(|i| i as f32).collect();
+        assert_eq!(f.as_slice(), &expected[..]);
     }
 
     #[test]

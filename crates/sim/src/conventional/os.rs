@@ -19,51 +19,48 @@ use crate::matrix::Matrix;
 use crate::pe::Macs;
 use crate::probe::{FeedOperand, Probe};
 use crate::stats::SimStats;
+use std::ops::Range;
 
-/// Simulates one OS tile: `a` is `r x k`, `b` is `k x c`, with `r`/`c` not
-/// exceeding the physical array (enforced by the callers in `lib.rs`).
+/// Simulates one OS tile: the `r x k` rows `a` of `A` against the columns
+/// `cols` of the `k`-row `b`, with `r` and `cols.len()` not exceeding the
+/// physical array (enforced by the callers in `lib.rs`).
 ///
 /// Returns the `r x c` output tile and updates `stats` in place. The total
 /// cycle count per tile is `2r + c + k - 2` (Eq. 1 with `T = k`), split as
 /// `k + r + c - 2` active cycles plus `r` drain cycles.
 pub(crate) fn simulate_tile<P: Probe>(
-    a: &Matrix,
+    a: &Rows,
     b: &Matrix,
+    cols: Range<usize>,
     zero_gating: bool,
     stats: &mut SimStats,
     probe: &mut P,
 ) -> Matrix {
     let r = a.rows();
-    let k = a.cols();
-    let c = b.cols();
+    let k = a.len();
+    let c = cols.len();
     debug_assert_eq!(k, b.rows());
 
-    // The operands along the falling runs a row fires.
-    let a_runs = Rows::of(a, Slope::Falling);
-    let b_runs = Diagonals::of(b, Slope::Falling);
+    // `B` along the falling runs a row fires (`A` comes in that layout).
+    let b_runs = Diagonals::of(b, cols, Slope::Falling);
     let mut out = Matrix::zeros(r, c);
     let acc = out.as_mut_slice();
     let mut macs = Macs::new(zero_gating);
+    let mut reads = 0usize;
     let mut slots = 0usize;
     let expected = r * c * k;
     let mut cycle = 0usize;
 
     while slots < expected {
-        // Edge feeds in the raster order of the feeder PEs: PE (0, 0)
-        // takes `A`, the top row takes `B` and the rows below take `A`,
-        // each skewed by one cycle per column or row.
-        if cycle < k {
-            stats.buffer_reads += 1;
-            probe.feed(cycle, FeedOperand::A, (0, cycle));
-        }
-        for j in firing(cycle, 0, k, c) {
-            stats.buffer_reads += 1;
-            probe.feed(cycle, FeedOperand::B, (cycle - j, j));
-        }
-        let rows = firing(cycle, 0, k, r);
-        for i in rows.start.max(1)..rows.end {
-            stats.buffer_reads += 1;
-            probe.feed(cycle, FeedOperand::A, (i, cycle - i));
+        // Edge feeds, skewed by one cycle per column or row: the top row
+        // takes `B`, the left column `A`.
+        let fed_rows = firing(cycle, 0, k, r);
+        let fed_cols = firing(cycle, 0, k, c);
+        let feeds = fed_rows.len() + fed_cols.len();
+        reads += feeds;
+        if P::RECORDS_FEEDS {
+            let emitted = feed_events(probe, cycle, fed_rows, fed_cols);
+            debug_assert_eq!(emitted, feeds, "cycle {cycle}");
         }
 
         // MAC phase: every PE holding both operands fires, in k order.
@@ -77,7 +74,7 @@ pub(crate) fn simulate_tile<P: Probe>(
             let t = cycle - i - cols.start;
             macs.run(
                 &mut acc[i * c + cols.start..i * c + cols.end],
-                a_runs.run(i, t, cols.len()),
+                a.run(Slope::Falling, i, t, cols.len()),
                 b_runs.run(t, cols.clone()),
             );
             probe.macs(cycle, i, cols);
@@ -88,10 +85,38 @@ pub(crate) fn simulate_tile<P: Probe>(
     // Drain: outputs shift out row by row (r cycles). The values are
     // already in `out`; only the latency is billed.
     macs.settle(stats);
+    stats.buffer_reads += reads;
     stats.cycles += cycle + r;
     stats.drain_cycles += r;
     stats.tiles += 1;
     out
+}
+
+/// Emits the feeds of `cycle` in the raster order of the feeder PEs:
+/// PE (0, 0) takes `A`, the top row takes `B` and the rows below take
+/// `A`. `rows` and `cols` are the feeding rows and columns. Returns the
+/// number of feeds emitted.
+fn feed_events<P: Probe>(
+    probe: &mut P,
+    cycle: usize,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) -> usize {
+    let mut emitted = 0;
+    let mut feed = |operand, index| {
+        probe.feed(cycle, operand, index);
+        emitted += 1;
+    };
+    if rows.contains(&0) {
+        feed(FeedOperand::A, (0, cycle));
+    }
+    for j in cols {
+        feed(FeedOperand::B, (cycle - j, j));
+    }
+    for i in rows.start.max(1)..rows.end {
+        feed(FeedOperand::A, (i, cycle - i));
+    }
+    emitted
 }
 
 #[cfg(test)]
@@ -101,6 +126,18 @@ mod tests {
 
     fn seq(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| (r * cols + c + 1) as f32)
+    }
+
+    /// The whole of `a` against the whole of `b`.
+    fn simulate_tile(
+        a: &Matrix,
+        b: &Matrix,
+        zero_gating: bool,
+        stats: &mut SimStats,
+        probe: &mut NoProbe,
+    ) -> Matrix {
+        let rows = Rows::of(a, 0..a.rows());
+        super::simulate_tile(&rows, b, 0..b.cols(), zero_gating, stats, probe)
     }
 
     #[test]

@@ -19,11 +19,12 @@
 //! has left the bottom row.
 
 use super::firing;
-use crate::diagonals::{Diagonals, Rows, Slope};
+use crate::diagonals::{Block, Diagonals, Rows, Slope};
 use crate::matrix::Matrix;
 use crate::pe::Macs;
 use crate::probe::{FeedOperand, Probe};
 use crate::stats::SimStats;
+use std::ops::Range;
 
 /// Simulates one stationary tile.
 ///
@@ -38,21 +39,19 @@ use crate::stats::SimStats;
 /// The per-tile cycle count is `2*sr + sc + t_len - 2` (Eq. 1): `sr`
 /// preload cycles plus `t_len + sr + sc - 2` streaming cycles.
 pub(crate) fn simulate_tile<P: Probe>(
-    stationary: &Matrix,
-    stream: &Matrix,
+    stationary: Block,
+    stream: &Rows,
     zero_gating: bool,
     stats: &mut SimStats,
     probe: &mut P,
 ) -> Matrix {
     let sr = stationary.rows();
     let sc = stationary.cols();
-    let t_len = stream.cols();
+    let t_len = stream.len();
     debug_assert_eq!(stream.rows(), sr);
-    let held = stationary.as_slice();
 
-    // The stream by array row, and the running sums `(t, j)`, along the
-    // falling runs a row fires.
-    let fed = Rows::of(stream, Slope::Falling);
+    // The running sums `(t, j)` along the falling runs a row fires (the
+    // stream comes in that layout).
     let mut psum = Diagonals::zeros(t_len, sc, Slope::Falling);
     let mut macs = Macs::new(zero_gating);
     let mut done = 0usize;
@@ -60,13 +59,15 @@ pub(crate) fn simulate_tile<P: Probe>(
 
     // Preload: one stationary row per cycle via the vertical interconnect.
     stats.preload_cycles += sr;
-    stats.buffer_reads += sr * sc;
+    let mut reads = sr * sc;
 
     while done < sc * t_len {
         // Left-edge stream feeds, skewed by one cycle per row.
-        for k in firing(cycle, 0, t_len, sr) {
-            stats.buffer_reads += 1;
-            probe.feed(cycle, FeedOperand::Stream, (cycle - k, k));
+        let fed = firing(cycle, 0, t_len, sr);
+        reads += fed.len();
+        if P::RECORDS_FEEDS {
+            let emitted = feed_events(probe, cycle, fed.clone());
+            debug_assert_eq!(emitted, fed.len(), "cycle {cycle}");
         }
 
         // MAC + partial-sum descent: PE (k, j) adds its product to the
@@ -83,8 +84,8 @@ pub(crate) fn simulate_tile<P: Probe>(
             let t = cycle - k - cols.start;
             macs.run(
                 psum.run_mut(t, cols.clone()),
-                &held[k * sc + cols.start..k * sc + cols.end],
-                fed.run(k, t, cols.len()),
+                stationary.row(k, cols.clone()),
+                stream.run(Slope::Falling, k, t, cols.len()),
             );
             probe.macs(cycle, k, cols);
         }
@@ -92,9 +93,21 @@ pub(crate) fn simulate_tile<P: Probe>(
     }
 
     macs.settle(stats);
+    stats.buffer_reads += reads;
     stats.cycles += sr + cycle;
     stats.tiles += 1;
     Matrix::from_fn(t_len, sc, |t, j| psum.get(t, j))
+}
+
+/// Emits the feeds of `cycle`, one per feeding row `rows` of the left
+/// edge, in row order. Returns the number of feeds emitted.
+fn feed_events<P: Probe>(probe: &mut P, cycle: usize, rows: Range<usize>) -> usize {
+    let mut emitted = 0;
+    for k in rows {
+        probe.feed(cycle, FeedOperand::Stream, (cycle - k, k));
+        emitted += 1;
+    }
+    emitted
 }
 
 #[cfg(test)]
@@ -104,6 +117,19 @@ mod tests {
 
     fn seq(rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| (r * cols + c + 1) as f32)
+    }
+
+    /// The whole of `stationary` against the whole of `stream`.
+    fn simulate_tile(
+        stationary: &Matrix,
+        stream: &Matrix,
+        zero_gating: bool,
+        stats: &mut SimStats,
+        probe: &mut NoProbe,
+    ) -> Matrix {
+        let held = Block::of(stationary, 0..stationary.rows(), 0..stationary.cols());
+        let fed = Rows::of(stream, 0..stream.rows());
+        super::simulate_tile(held, &fed, zero_gating, stats, probe)
     }
 
     fn reference(stationary: &Matrix, stream: &Matrix) -> Matrix {

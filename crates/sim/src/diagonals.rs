@@ -12,9 +12,13 @@
 //! falling run; [`Rows`] keeps a reversed copy so the run reads forward.
 //! Contiguous runs let the compiler vectorize the MACs of a run, which
 //! are independent PEs, without reordering any PE's own sum.
+//!
+//! Both are built from a block of the GEMM operand itself, never from a
+//! copied-out tile: [`Rows`] from a range of rows, [`Diagonals`] from a
+//! range of columns, and [`Block`] views a tile of a row-major grid in
+//! place.
 
 use crate::matrix::Matrix;
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// How the step `t` moves along a run of ascending columns.
@@ -45,11 +49,12 @@ impl Diagonals {
         }
     }
 
-    /// A copy of `m`, with `t` its row and `j` its column.
-    pub(crate) fn of(m: &Matrix, slope: Slope) -> Self {
-        let mut d = Self::zeros(m.rows(), m.cols(), slope);
+    /// A copy of the columns `cols` of `m`, with `t` its row and `j` its
+    /// column counted from `cols.start`.
+    pub(crate) fn of(m: &Matrix, cols: Range<usize>, slope: Slope) -> Self {
+        let mut d = Self::zeros(m.rows(), cols.len(), slope);
         for (t, row) in m.as_slice().chunks_exact(m.cols()).enumerate() {
-            for (j, &v) in row.iter().enumerate() {
+            for (j, &v) in row[cols.clone()].iter().enumerate() {
                 let p = d.index(t, j);
                 d.data[p] = v;
             }
@@ -84,42 +89,88 @@ impl Diagonals {
     }
 }
 
-/// The rows of a matrix indexed by `(i, t)`, each readable forward along
-/// the runs of one [`Slope`]: a rising run `t, t + 1, ...` of row `i` is
-/// a slice of the rows as stored, borrowed; a falling run `t, t - 1, ...`
-/// is a slice of a copy with every row reversed.
+/// A range of a matrix's rows indexed by `(i, t)`, each readable
+/// forward along the runs of either [`Slope`]: a rising run `t, t + 1,
+/// ...` of row `i` is a slice of the rows as stored, borrowed; a falling
+/// run `t, t - 1, ...` is a slice of a copy with every row reversed.
 #[derive(Debug)]
 pub(crate) struct Rows<'a> {
     len: usize,
-    slope: Slope,
-    data: Cow<'a, [f32]>,
+    forward: &'a [f32],
+    reversed: Vec<f32>,
 }
 
 impl<'a> Rows<'a> {
-    /// The rows of `m` along `slope`.
-    pub(crate) fn of(m: &'a Matrix, slope: Slope) -> Self {
-        let data = match slope {
-            Slope::Rising => Cow::Borrowed(m.as_slice()),
-            Slope::Falling => m
-                .as_slice()
-                .chunks_exact(m.cols())
+    /// The rows `rows` of `m`, with `i` counted from `rows.start`.
+    pub(crate) fn of(m: &'a Matrix, rows: Range<usize>) -> Self {
+        let len = m.cols();
+        let forward = &m.as_slice()[rows.start * len..rows.end * len];
+        Self {
+            len,
+            forward,
+            reversed: forward
+                .chunks_exact(len)
                 .flat_map(|row| row.iter().rev().copied())
                 .collect(),
-        };
-        Self {
-            len: m.cols(),
-            slope,
-            data,
         }
     }
 
-    /// The `n` elements of row `i` from step `t` on, following the slope.
-    pub(crate) fn run(&self, i: usize, t: usize, n: usize) -> &[f32] {
-        let start = match self.slope {
-            Slope::Rising => t,
-            Slope::Falling => self.len - 1 - t,
-        };
-        &self.data[i * self.len + start..][..n]
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.forward.len() / self.len
+    }
+
+    /// Length of a row: the number of steps `t`.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The `n` elements of row `i` from step `t` on, following `slope`.
+    pub(crate) fn run(&self, slope: Slope, i: usize, t: usize, n: usize) -> &[f32] {
+        match slope {
+            Slope::Rising => &self.forward[i * self.len + t..][..n],
+            Slope::Falling => &self.reversed[i * self.len + self.len - 1 - t..][..n],
+        }
+    }
+}
+
+/// The tile `rows x cols` of a row-major grid, viewed in place.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Block<'a> {
+    data: &'a [f32],
+    stride: usize,
+    col0: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> Block<'a> {
+    /// The tile of `m` at rows `rows` and columns `cols`.
+    pub(crate) fn of(m: &'a Matrix, rows: Range<usize>, cols: Range<usize>) -> Self {
+        let stride = m.cols();
+        Self {
+            data: &m.as_slice()[rows.start * stride..rows.end * stride],
+            stride,
+            col0: cols.start,
+            rows: rows.len(),
+            cols: cols.len(),
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub(crate) fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `i`, the columns `cols` of it (counted from the tile's first).
+    pub(crate) fn row(&self, i: usize, cols: Range<usize>) -> &[f32] {
+        let start = i * self.stride + self.col0;
+        &self.data[start + cols.start..start + cols.end]
     }
 }
 
@@ -130,10 +181,10 @@ mod tests {
     #[test]
     fn runs_follow_the_slope() {
         let m = Matrix::from_fn(4, 3, |t, j| (10 * t + j) as f32);
-        let falling = Diagonals::of(&m, Slope::Falling);
+        let falling = Diagonals::of(&m, 0..3, Slope::Falling);
         assert_eq!(falling.run(2, 0..3), &[20.0, 11.0, 2.0]);
         assert_eq!(falling.run(3, 1..3), &[31.0, 22.0]);
-        let rising = Diagonals::of(&m, Slope::Rising);
+        let rising = Diagonals::of(&m, 0..3, Slope::Rising);
         assert_eq!(rising.run(0, 0..3), &[0.0, 11.0, 22.0]);
         assert_eq!(rising.run(1, 1..3), &[11.0, 22.0]);
         for t in 0..4 {
@@ -145,12 +196,36 @@ mod tests {
     }
 
     #[test]
+    fn diagonals_of_a_column_range() {
+        let m = Matrix::from_fn(4, 5, |t, j| (10 * t + j) as f32);
+        let d = Diagonals::of(&m, 2..4, Slope::Falling);
+        assert_eq!(d.run(1, 0..2), &[12.0, 3.0]);
+        for t in 0..4 {
+            for j in 0..2 {
+                assert_eq!(d.get(t, j), m[(t, 2 + j)]);
+            }
+        }
+    }
+
+    #[test]
     fn rows_read_forward_along_the_slope() {
-        let m = Matrix::from_fn(2, 5, |i, t| (10 * i + t) as f32);
-        let rising = Rows::of(&m, Slope::Rising);
-        assert_eq!(rising.run(1, 2, 3), &[12.0, 13.0, 14.0]);
-        let falling = Rows::of(&m, Slope::Falling);
-        assert_eq!(falling.run(1, 3, 3), &[13.0, 12.0, 11.0]);
-        assert_eq!(falling.run(0, 4, 5), &[4.0, 3.0, 2.0, 1.0, 0.0]);
+        let m = Matrix::from_fn(3, 5, |i, t| (10 * i + t) as f32);
+        let rows = Rows::of(&m, 1..3);
+        assert_eq!((rows.rows(), rows.len()), (2, 5));
+        assert_eq!(rows.run(Slope::Rising, 1, 2, 3), &[22.0, 23.0, 24.0]);
+        assert_eq!(rows.run(Slope::Falling, 1, 3, 3), &[23.0, 22.0, 21.0]);
+        assert_eq!(
+            rows.run(Slope::Falling, 0, 4, 5),
+            &[14.0, 13.0, 12.0, 11.0, 10.0]
+        );
+    }
+
+    #[test]
+    fn block_views_a_tile_in_place() {
+        let m = Matrix::from_fn(4, 5, |r, c| (10 * r + c) as f32);
+        let b = Block::of(&m, 1..3, 2..5);
+        assert_eq!((b.rows(), b.cols()), (2, 3));
+        assert_eq!(b.row(1, 0..3), &[22.0, 23.0, 24.0]);
+        assert_eq!(b.row(0, 1..3), &[13.0, 14.0]);
     }
 }

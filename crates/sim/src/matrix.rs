@@ -47,13 +47,14 @@ impl Matrix {
     ///
     /// Panics if either dimension is zero.
     pub fn from_fn<F: FnMut(usize, usize) -> f32>(rows: usize, cols: usize, mut f: F) -> Self {
-        let mut m = Self::zeros(rows, cols);
+        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
+        let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
-                m[(r, c)] = f(r, c);
+                data.push(f(r, c));
             }
         }
-        m
+        Self { rows, cols, data }
     }
 
     /// Creates a matrix from a row-major vector.

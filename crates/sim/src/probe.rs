@@ -11,6 +11,11 @@ use std::ops::Range;
 
 /// Internal observation hook threaded through the tile engines.
 pub(crate) trait Probe {
+    /// Whether [`Probe::feed`] records anything. The engines count a
+    /// cycle's feeds from the lengths of the feeding ranges and visit the
+    /// feeder PEs one by one only for probes that record them.
+    const RECORDS_FEEDS: bool = false;
+
     /// Called when the PE at tile-local `(r, c)` fires a MAC in `cycle`
     /// (local to the current tile's streaming phase).
     fn mac(&mut self, cycle: usize, r: usize, c: usize);
@@ -140,6 +145,8 @@ impl DemandTrace {
 }
 
 impl Probe for DemandTrace {
+    const RECORDS_FEEDS: bool = true;
+
     #[inline]
     fn mac(&mut self, _cycle: usize, _r: usize, _c: usize) {}
 
