@@ -130,7 +130,7 @@ pub fn direct_conv(
                         for kx in 0..layer.kernel {
                             let y = (oy * layer.stride + ky) as isize - layer.padding as isize;
                             let x = (ox * layer.stride + kx) as isize - layer.padding as isize;
-                            let iv = ifmap.get_padded(c, y, x, layer.padding);
+                            let iv = ifmap.get_padded(c, y, x);
                             let fv =
                                 filters
                                     .get(m, c, ky, kx)

@@ -13,7 +13,7 @@ use std::fmt;
 ///
 /// let t = Tensor3::from_fn(2, 3, 3, |c, y, x| (c * 9 + y * 3 + x) as f32);
 /// assert_eq!(t.get(1, 2, 2), Some(17.0));
-/// assert_eq!(t.get_padded(0, -1, 0, 1), 0.0); // zero padding
+/// assert_eq!(t.get_padded(0, -1, 0), 0.0); // zero padding
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor3 {
@@ -156,7 +156,7 @@ impl Tensor3 {
     ///
     /// Panics if `c` is out of range — padding applies to the spatial
     /// dimensions only.
-    pub fn get_padded(&self, c: usize, y: isize, x: isize, _pad: usize) -> f32 {
+    pub fn get_padded(&self, c: usize, y: isize, x: isize) -> f32 {
         assert!(c < self.channels, "channel {c} out of range");
         if y < 0 || x < 0 || y as usize >= self.height || x as usize >= self.width {
             0.0
@@ -305,9 +305,9 @@ mod tests {
     #[test]
     fn padded_access_returns_zero_outside() {
         let t = Tensor3::from_fn(1, 2, 2, |_, y, x| (y * 2 + x + 1) as f32);
-        assert_eq!(t.get_padded(0, -1, -1, 1), 0.0);
-        assert_eq!(t.get_padded(0, 2, 0, 1), 0.0);
-        assert_eq!(t.get_padded(0, 1, 1, 1), 4.0);
+        assert_eq!(t.get_padded(0, -1, -1), 0.0);
+        assert_eq!(t.get_padded(0, 2, 0), 0.0);
+        assert_eq!(t.get_padded(0, 1, 1), 4.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn im2col_oracle(layer: &ConvLayer, ifmap: &Tensor3) -> Matrix {
                     for kx in 0..layer.kernel {
                         let y = (oy * layer.stride + ky) as isize - layer.padding as isize;
                         let x = (ox * layer.stride + kx) as isize - layer.padding as isize;
-                        out[(row, col)] = ifmap.get_padded(c, y, x, layer.padding);
+                        out[(row, col)] = ifmap.get_padded(c, y, x);
                         row += 1;
                     }
                 }

@@ -72,6 +72,7 @@
 
 mod arrivals;
 mod cluster;
+mod fx;
 mod generator;
 mod metrics;
 mod pod;

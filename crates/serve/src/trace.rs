@@ -234,7 +234,7 @@ pub enum TraceEvent {
         cycle: u64,
     },
     /// The autoscaler activated a spare pod (or re-opened a draining
-    /// one).
+    /// one), under load or because a failure left no pod open.
     ScaleUp {
         /// Declaration index of the activated pod.
         pod: usize,

@@ -272,8 +272,9 @@ fn assert_pods_match_standalone(cluster: &ClusterConfig, r: &ClusterReport, labe
 /// The streamed-replay scenarios, each several feed batches long:
 /// (a) a heterogeneous fleet whose pod 1 fails mid-run; (b) 1 of 3
 /// pods active at first, the last spare failing after it autoscales
-/// in; (c) the only initially active pod failing early, so the router
-/// falls back to the inactive spares, which start only at the end;
+/// in; (c) the only initially active pod failing early, so routing
+/// opens a spare through the scale-up path although no load reaches
+/// the high watermark;
 /// (d) a hand-built `TraceReplay` whose arrivals are not sorted, with
 /// pod 0 failing mid-run.
 fn streamed_cluster(scenario: char, router: RouterPolicy) -> (ClusterConfig, TrafficConfig) {
@@ -306,7 +307,7 @@ fn streamed_cluster(scenario: char, router: RouterPolicy) -> (ClusterConfig, Tra
         'c' => {
             let mut pods = spares();
             pods[0] = pods[0].clone().with_fail_at(1_000_000);
-            // A watermark no load reaches: the spares never activate.
+            // A watermark no load reaches: only the failure opens a spare.
             let cluster = ClusterConfig::new(pods, router).with_autoscale(AutoscaleConfig::new(
                 1,
                 usize::MAX,
@@ -373,14 +374,46 @@ fn streamed_pods_match_their_standalone_replays() {
             match scenario {
                 'b' => assert!(m.scale_ups > 0 && m.routed_per_pod[2] > 0, "{label}"),
                 'c' => assert!(
-                    m.scale_ups == 0 && m.routed_per_pod[1] + m.routed_per_pod[2] > 0,
-                    "{label}: no fallback to the inactive spares"
+                    m.scale_ups >= 1 && m.routed_per_pod[1] + m.routed_per_pod[2] > 0,
+                    "{label}: no spare opened after the failure"
                 ),
                 _ => {}
             }
             assert_pods_match_standalone(&cluster, &r, &label);
         }
         assert!(rerouted > 0, "{scenario}: no failure re-routed anything");
+    }
+}
+
+/// When the only active pod dies, the spare that routing falls back to
+/// opens through the scale-up path: the scale-up is counted, its arrays
+/// come online a warm-up after the failure, and it dispatches nothing
+/// before then.
+#[test]
+fn a_spare_opened_by_a_failure_bills_its_warm_up() {
+    let (fail_at, warmup) = (1_000_000, 10_000);
+    for router in RouterPolicy::ALL {
+        let label = router.name();
+        let (cluster, traffic) = streamed_cluster('c', router);
+        assert_eq!(cluster.pods[0].fail_at, Some(fail_at));
+        assert_eq!(cluster.autoscale.map(|a| a.warmup_cycles), Some(warmup));
+        let r = simulate_cluster(&cluster, &traffic);
+        assert!(r.metrics.scale_ups >= 1, "{label}: no scale-up");
+        for i in 1..cluster.pods.len() {
+            if r.metrics.routed_per_pod[i] == 0 {
+                continue;
+            }
+            let ready = r.ready_at[i];
+            assert!(
+                ready >= fail_at + warmup,
+                "{label}: pod {i} ready at {ready}, before the warm-up ends"
+            );
+            let early = r.per_pod[i].completions.iter().find(|c| c.dispatch < ready);
+            assert!(
+                early.is_none(),
+                "{label}: pod {i} dispatched {early:?} before its ready edge {ready}"
+            );
+        }
     }
 }
 

@@ -89,6 +89,26 @@ FILES+=(crates/sim/src/lib.rs)
 FROMS+=("let a_rows = Rows::of(a, m0..m0 + mt);")
 TOS+=("let a_rows = Rows::of(a, 0..mt);")
 
+# The router's estimator keeps a booked completion at exactly `now`
+# outstanding, so the load the routers and admission read runs high.
+NAMES+=("prune keeps edges equal to now")
+FILES+=(crates/serve/src/cluster.rs)
+FROMS+=("is_some_and(|&Reverse(t)| t <= now)")
+TOS+=("is_some_and(|&Reverse(t)| t < now)")
+
+# The fleet merge breaks a completion-cycle tie between pods by request
+# id instead of by pod.
+NAMES+=("merge breaks completion ties by id before pod")
+FILES+=(crates/serve/src/cluster.rs)
+FROMS+=($'-> (u64, usize, usize) {\n    (completion, pod, id)')
+TOS+=($'-> (u64, usize, usize) {\n    (completion, id, pod)')
+
+# The pod's next edge misses the first running job's segment end.
+NAMES+=("next edge ignores one running job")
+FILES+=(crates/serve/src/pod.rs)
+FROMS+=("self.running.iter().map(|j| j.end).min()")
+TOS+=("self.running.iter().skip(1).map(|j| j.end).min()")
+
 if [ $# -gt 1 ]; then
     echo "usage: bash scripts/mutants.sh [<rev>]" >&2
     exit 2
