@@ -45,7 +45,6 @@ mod error;
 mod shape;
 
 pub mod cmsa;
-pub mod mapper;
 pub mod runtime;
 pub mod tile;
 pub mod utilization;

@@ -209,7 +209,8 @@ impl RuntimeSpec {
     }
 
     /// Runs all three dataflows and returns the one with the lowest cycle
-    /// count for `arch`, together with its report.
+    /// count for `arch`, together with its report. A tie goes to the
+    /// first in [`Dataflow::ALL`] order.
     pub fn best_dataflow(&self, arch: Architecture, gemm: GemmShape) -> (Dataflow, RuntimeReport) {
         Dataflow::ALL
             .iter()

@@ -441,26 +441,22 @@ pub fn service_cycles(
     tiling: Tiling,
     shape: GemmShape,
 ) -> (Dataflow, usize) {
-    let eval = |df: Dataflow| {
+    let spec = |df: Dataflow| {
         RuntimeSpec::new(cfg.array, df)
             .with_accounting(Accounting::ExactEdges)
             .with_drain(drain)
             .with_tiling(tiling)
-            .runtime(cfg.arch, shape)
-            .cycles
     };
-    match mapping {
-        MappingPolicy::Fixed(df) => (df, eval(df)),
+    let (df, report) = match mapping {
+        MappingPolicy::Fixed(df) => (df, spec(df).runtime(cfg.arch, shape)),
         MappingPolicy::MinTemporal => {
             let df = Dataflow::min_temporal(shape);
-            (df, eval(df))
+            (df, spec(df).runtime(cfg.arch, shape))
         }
-        MappingPolicy::BestPerRequest => Dataflow::ALL
-            .iter()
-            .map(|&df| (df, eval(df)))
-            .min_by_key(|&(_, c)| c)
-            .expect("Dataflow::ALL is non-empty"),
-    }
+        // `best_dataflow` tries every dataflow, whatever the spec's own.
+        MappingPolicy::BestPerRequest => spec(Dataflow::Os).best_dataflow(cfg.arch, shape),
+    };
+    (df, report.cycles)
 }
 
 /// The candidate scale-out grids for `free_peers` idle identical

@@ -76,6 +76,8 @@ pub fn write_trace(requests: &[Request]) -> String {
 /// * missing / wrong header,
 /// * `truncated line` — fewer than the five required fields,
 /// * `invalid number` — an unparsable `arrival`, `client` or `deadline`,
+/// * `client out of range` — `usize::MAX`, which leaves no room to count
+///   the clients,
 /// * `unknown class` — a class token outside the catalog names,
 /// * `unknown workload` — a name absent from the class's catalog,
 /// * `non-monotone arrival` — an arrival earlier than its predecessor.
@@ -121,6 +123,13 @@ pub fn parse_trace(text: &str) -> Result<Vec<ReplayEntry>, String> {
         let client: usize = client_tok
             .parse()
             .map_err(|_| format!("line {n}: invalid number `{client_tok}` for <client>"))?;
+        // The replay counts clients as the largest id plus one.
+        if client == usize::MAX {
+            return Err(format!(
+                "line {n}: client {client} out of range (max {})",
+                usize::MAX - 1
+            ));
+        }
         let deadline: u64 = deadline_tok
             .parse()
             .map_err(|_| format!("line {n}: invalid number `{deadline_tok}` for <deadline>"))?;

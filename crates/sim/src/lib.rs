@@ -88,7 +88,7 @@ mod verify;
 
 pub use matrix::Matrix;
 pub use probe::{Activity, DemandTrace, FeedEvent, FeedOperand};
-pub use scaleout::{scale_up_vs_out, simulate_gemm_scale_out, ScaleOutResult};
+pub use scaleout::{simulate_gemm_scale_out, ScaleOutResult};
 pub use stats::SimStats;
 pub use verify::{random_matrix, verify_gemm, VerifyReport};
 

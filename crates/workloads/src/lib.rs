@@ -11,7 +11,6 @@
 //! * [`mobilenet_dw_layers`] / [`efficientnet_dw_layers`] — the DW-conv
 //!   workloads of Fig. 14;
 //! * [`gemv_workloads`] — the memory-bound GEMV set of Fig. 14;
-//! * [`ConformerConfig`] — mixed Conv+GeMM conformer blocks;
 //! * [`SparseGemm`] — sparsity descriptors for the zero-gating power
 //!   study;
 //! * [`fig11_shapes`] — the conv shapes of the Fig. 11 access-reduction
@@ -32,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod conformer;
 mod convnet;
 mod dwconv;
 mod efficientnet;
@@ -46,7 +44,6 @@ mod transformer;
 mod workload;
 mod yolov3;
 
-pub use conformer::ConformerConfig;
 pub use convnet::ConvNet;
 pub use dwconv::{efficientnet_dw_layers, fig14_dw_workloads, mobilenet_dw_layers, DwConvLayer};
 pub use efficientnet::efficientnet_b0;

@@ -109,6 +109,20 @@ FILES+=(crates/serve/src/pod.rs)
 FROMS+=("self.running.iter().map(|j| j.end).min()")
 TOS+=("self.running.iter().skip(1).map(|j| j.end).min()")
 
+# WFQ credits a fused batch's whole service to the head's client, so
+# the clients that rode along look unserved.
+NAMES+=("WFQ credits the batch head's client for every request")
+FILES+=(crates/serve/src/scheduler.rs)
+FROMS+=($'service_cycles as f64 / batch.len() as f64;\n        for r in &batch.requests {\n            self.credit(r.client, share);')
+TOS+=($'service_cycles as f64 / batch.len() as f64;\n        for r in &batch.requests {\n            self.credit(batch.requests[0].client, share);')
+
+# The best-dataflow mapping breaks a cycle tie toward the last dataflow
+# in `Dataflow::ALL` order instead of the first.
+NAMES+=("best dataflow breaks ties toward the last")
+FILES+=(crates/core/src/runtime/mod.rs)
+FROMS+=(".min_by_key(|(_, r)| r.cycles)")
+TOS+=(".rev().min_by_key(|(_, r)| r.cycles)")
+
 if [ $# -gt 1 ]; then
     echo "usage: bash scripts/mutants.sh [<rev>]" >&2
     exit 2

@@ -19,9 +19,9 @@
 //! | [`core`] | shapes, dataflows, tiling, analytical runtime/utilization models |
 //! | [`sim`] | cycle-accurate functional simulator (OS/WS/IS, both architectures) |
 //! | [`im2col`] | conv lowering, on-chip MUX feeder, traffic models |
-//! | [`mem`] | SRAM/DRAM models, energy and bandwidth accounting |
+//! | [`mem`] | DRAM energy and bandwidth models, shared-DRAM channel arbiter |
 //! | [`hw`] | calibrated area/power cost model (45 nm / 7 nm) |
-//! | [`workloads`] | Table 3, ResNet-50, YOLOv3, DW-conv, GEMV, conformer |
+//! | [`workloads`] | Table 3, ResNet-50, YOLOv3, DW-conv, GEMV |
 //! | [`serve`] | request-level serving: traffic generators, batching schedulers, pod simulation |
 //!
 //! ## Quickstart
