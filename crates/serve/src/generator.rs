@@ -117,15 +117,6 @@ pub enum ArrivalProcess {
     },
 }
 
-impl ArrivalProcess {
-    /// Whether the process pre-computes its full arrival trace up front
-    /// (everything except [`ClosedLoop`](ArrivalProcess::ClosedLoop),
-    /// whose arrivals are completion-driven).
-    pub fn is_trace_driven(&self) -> bool {
-        !matches!(self, ArrivalProcess::ClosedLoop { .. })
-    }
-}
-
 /// A weighted mix over request classes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadMix {

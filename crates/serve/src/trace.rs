@@ -328,16 +328,6 @@ impl TraceEvent {
             TraceEvent::Shed { .. } => "shed",
         }
     }
-
-    /// Whether this is a terminal lifecycle event (exactly one per
-    /// arrived request — the conservation law: arrivals = completions +
-    /// deadline-missed + shed).
-    pub fn is_terminal(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::Completed(_) | TraceEvent::DeadlineMissed(_) | TraceEvent::Shed { .. }
-        )
-    }
 }
 
 /// Where the engines send lifecycle events.

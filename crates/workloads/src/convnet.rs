@@ -51,11 +51,6 @@ impl ConvNet {
         self.layers.iter().map(|(l, c)| (l, *c))
     }
 
-    /// Number of distinct `(layer, count)` entries.
-    pub fn entry_count(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Total conv layers counting repetitions.
     pub fn total_layer_count(&self) -> usize {
         self.layers.iter().map(|(_, c)| c).sum()
