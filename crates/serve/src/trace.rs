@@ -181,10 +181,11 @@ pub enum TraceEvent {
         /// Join cycle.
         cycle: u64,
     },
-    /// The shared-memory model re-timed every running job after a
+    /// The shared-memory model re-timed the running set after a
     /// concurrency change.
     Retimed {
-        /// Running jobs touched by the pass.
+        /// Jobs in the running set at the pass, whether or not their
+        /// bandwidth share moved and they were re-projected.
         jobs: usize,
         /// Retime cycle.
         cycle: u64,
@@ -562,7 +563,8 @@ pub struct SimProfile {
     pub completed: u64,
     /// Retime passes observed ([`TraceEvent::Retimed`]).
     pub retime_passes: u64,
-    /// Total running jobs touched across all retime passes.
+    /// The running set's size summed over all retime passes
+    /// ([`TraceEvent::Retimed`]'s `jobs`).
     pub retime_jobs_touched: u64,
     /// Dispatches observed.
     pub dispatches: u64,
