@@ -2126,7 +2126,10 @@ impl<'a> PodEngine<'a> {
     /// dispatched or resumed since that pass is judged at its stored
     /// position, as it stands at this cycle.
     fn debug_check_final_drain_test(&self) {
-        let Some(at) = self.retimed().filter(|_| cfg!(debug_assertions)) else {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let Some(at) = self.retimed() else {
             return;
         };
         for job in self.running.iter().filter(|j| j.suspend_after.is_none()) {
