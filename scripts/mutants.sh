@@ -123,21 +123,21 @@ FILES+=(crates/core/src/runtime/mod.rs)
 FROMS+=(".min_by_key(|(_, r)| r.cycles)")
 TOS+=(".rev().min_by_key(|(_, r)| r.cycles)")
 
-# Under the shared memory model the join rule judges a job's final drain
-# at the join offer's own cycle instead of the last retime pass, so a job
-# whose last tile ended since that pass turns the offer away.
+# The join rule judges a job's final drain at the join offer's own cycle
+# instead of the last retime pass, so a job whose last tile ended since
+# that pass turns the offer away.
 NAMES+=("join eligibility read at now")
 FILES+=(crates/serve/src/pod.rs)
-FROMS+=("&& self.before_final_drain(retimed)")
-TOS+=("&& self.before_final_drain(retimed.map(|_| now))")
+FROMS+=("&& self.before_final_drain(last_retime)")
+TOS+=("&& self.before_final_drain(now)")
 
-# Under the shared memory model the join rule reads the stored tile
-# position, which lags while the job's bandwidth epoch is unchanged, so
-# a job already in its final drain still takes joins.
+# The join rule reads the stored tile position, which lags under the
+# shared memory model while the job's bandwidth epoch is unchanged, so a
+# job already in its final drain still takes joins.
 NAMES+=("join eligibility read from the stored position")
 FILES+=(crates/serve/src/pod.rs)
-FROMS+=("&& self.before_final_drain(retimed)")
-TOS+=("&& self.before_final_drain(None)")
+FROMS+=("self.end - self.walk.final_drain() > last_retime")
+TOS+=("self.next_tile < self.walk.len()")
 
 if [ $# -gt 1 ]; then
     echo "usage: bash scripts/mutants.sh [<rev>]" >&2
