@@ -225,8 +225,19 @@ impl TrafficConfig {
     /// [`parse_trace`](crate::parse_trace)).
     /// The seed is kept for config identity only — replay draws nothing
     /// from the RNG.
+    ///
+    /// # Panics
+    ///
+    /// On an entry with client `usize::MAX`, which leaves no room to
+    /// count the clients as the largest id plus one; `parse_trace`
+    /// rejects that id in a file, with the same message.
     pub fn trace_replay(seed: u64, entries: Vec<ReplayEntry>) -> Self {
-        let num_clients = entries.iter().map(|e| e.client + 1).max().unwrap_or(1);
+        let count = |e: &ReplayEntry| {
+            e.client.checked_add(1).unwrap_or_else(|| {
+                panic!("client {} out of range (max {})", e.client, usize::MAX - 1)
+            })
+        };
+        let num_clients = entries.iter().map(count).max().unwrap_or(1);
         TrafficConfig {
             seed,
             num_requests: entries.len(),
@@ -544,6 +555,36 @@ fn validate_mean(mean: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn replay_entry(client: usize) -> ReplayEntry {
+        let class = RequestClass::Decode;
+        ReplayEntry {
+            arrival: 0,
+            class,
+            workload: class.catalog()[0],
+            client,
+            deadline: 1_000,
+        }
+    }
+
+    #[test]
+    fn trace_replay_counts_clients_up_to_the_largest_id() {
+        let entries = vec![replay_entry(3), replay_entry(usize::MAX - 1)];
+        assert_eq!(
+            TrafficConfig::trace_replay(1, entries).num_clients,
+            usize::MAX
+        );
+        assert_eq!(
+            TrafficConfig::trace_replay(1, vec![replay_entry(3)]).num_clients,
+            4
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range (max ")]
+    fn trace_replay_rejects_the_client_it_cannot_count() {
+        TrafficConfig::trace_replay(1, vec![replay_entry(0), replay_entry(usize::MAX)]);
+    }
 
     #[test]
     fn trace_is_deterministic_per_seed() {

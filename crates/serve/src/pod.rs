@@ -2029,7 +2029,8 @@ impl<'a> PodEngine<'a> {
     ///
     /// A walk offers only the fronts keyed like a job that can grow: any
     /// other front would be declined with no side effect, since the
-    /// growable set only shrinks during the walk.
+    /// growable set only shrinks during the walk. The queue lists its
+    /// fronts by batch key, so the walk starts from those fronts alone.
     fn join(&mut self) -> bool {
         let pod = self.pod;
         if !pod.scheduler.admits_inflight_joins() || self.queue.is_empty() {

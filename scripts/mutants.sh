@@ -139,6 +139,26 @@ FILES+=(crates/serve/src/pod.rs)
 FROMS+=("self.end - self.walk.final_drain() > last_retime")
 TOS+=("self.next_tile < self.walk.len()")
 
+# The queue lists a client's next front under no key, or under its old
+# front's key, after a pop: keyed walks skip or mis-offer that client.
+NAMES+=("pop does not list the client's new front under its key")
+FILES+=(crates/serve/src/scheduler.rs)
+FROMS+=($'self.urgency.rekey(slot, next);\n            self.by_key.list(slot, next.req.batch_key());')
+TOS+=('self.urgency.rekey(slot, next);')
+
+# The urgency order breaks a deadline tie by enqueue order, not by id.
+NAMES+=("urgency order drops the id tie-break")
+FILES+=(crates/serve/src/scheduler.rs)
+FROMS+=("(q.req.deadline, q.req.id, q.stamp, slot)")
+TOS+=("(q.req.deadline, 0, q.stamp, slot)")
+
+# A keyed walk seeds its merge from the fronts of the first listed key
+# only, so fronts of the other keys are never offered.
+NAMES+=("keyed walk seeds only from the first listed key")
+FILES+=(crates/serve/src/scheduler.rs)
+FROMS+=("for (i, key) in keys.iter().enumerate() {")
+TOS+=("for (i, key) in keys.iter().enumerate().take(1) {")
+
 if [ $# -gt 1 ]; then
     echo "usage: bash scripts/mutants.sh [<rev>]" >&2
     exit 2
