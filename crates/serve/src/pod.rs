@@ -2071,10 +2071,25 @@ impl<'a> PodEngine<'a> {
             };
             // Bill the join as the cycle (and traffic) delta between the
             // old and new fused shapes under the job's fixed mapping,
-            // appended to its last tile.
+            // appended to its last tile. The memoized model gives the
+            // cycles the shape's scale-up tile walk totals.
             let old_shape = job.batch.shape;
             let new_shape = coalesced_shape(key, job.batch.requests.len() + 1);
-            let cycles = |shape| tile_walk(&job.cfg, pod.drain, job.dataflow, shape).total_cycles();
+            let mut cycles = |shape| {
+                let (_, cycles) = self.models.service_cycles(
+                    &job.cfg,
+                    MappingPolicy::Fixed(job.dataflow),
+                    pod.drain,
+                    Tiling::ScaleUp,
+                    shape,
+                );
+                debug_assert_eq!(
+                    cycles as u64,
+                    tile_walk(&job.cfg, pod.drain, job.dataflow, shape).total_cycles(),
+                    "the runtime model disagrees with the tile walk"
+                );
+                cycles as u64
+            };
             let delta = cycles(new_shape).saturating_sub(cycles(old_shape));
             let delta_bytes = dispatch_dram_bytes(new_shape, 1, 1)
                 .saturating_sub(dispatch_dram_bytes(old_shape, 1, 1));

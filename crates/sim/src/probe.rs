@@ -11,6 +11,11 @@ use std::ops::Range;
 
 /// Internal observation hook threaded through the tile engines.
 pub(crate) trait Probe {
+    /// Whether the probe records anything. A recording probe sees its
+    /// callbacks in the sequential pass order, so the tile passes of a
+    /// run it probes never spread over threads.
+    const RECORDS: bool = true;
+
     /// Whether [`Probe::feed`] records anything. The engines count a
     /// cycle's feeds from the lengths of the feeding ranges and visit the
     /// feeder PEs one by one only for probes that record them.
@@ -41,6 +46,8 @@ pub(crate) trait Probe {
 pub(crate) struct NoProbe;
 
 impl Probe for NoProbe {
+    const RECORDS: bool = false;
+
     #[inline]
     fn mac(&mut self, _cycle: usize, _r: usize, _c: usize) {}
 }

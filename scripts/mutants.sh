@@ -82,12 +82,39 @@ FILES+=(crates/im2col/src/software.rs)
 FROMS+=(".map_or(0, |last| (last / stride + 1).min(outs));")
 TOS+=(".map_or(0, |last| (last / stride).min(outs));")
 
-# The OS tiling loop builds A's run layouts for the first m-block only and
-# feeds them to every m-block.
-NAMES+=("A's rows reused across m-blocks")
-FILES+=(crates/sim/src/lib.rs)
-FROMS+=("let a_rows = Rows::of(a, m0..m0 + mt);")
-TOS+=("let a_rows = Rows::of(a, 0..mt);")
+# A tile pass builds the run layouts of its row operand (A for OS, B for
+# WS, Aᵀ for IS) from the first outer block's rows, whatever its own.
+NAMES+=("every outer block reads the first block's rows")
+FILES+=(crates/sim/src/tiling.rs)
+FROMS+=("(key, Rows::of(self.rows, outer.clone()))")
+TOS+=("(key, Rows::of(self.rows, 0..outer.len()))")
+
+# A thread keeps the first outer block's row layout for every later
+# block, as if the layout's key never changed.
+NAMES+=("row layout kept across outer blocks")
+FILES+=(crates/sim/src/tiling.rs)
+FROMS+=("let key = i / self.inner_blocks;")
+TOS+=("let key = 0;")
+
+# The calling thread applies the finished tiles in the order they were
+# stored, whichever passes they belong to, not in pass order.
+NAMES+=("tiles applied in completion order")
+FILES+=(crates/sim/src/tiling.rs)
+FROMS+=("state.done.iter().position(|(j, _)| *j == i)")
+TOS+=("state.done.iter().position(|_| true)")
+
+# A worker hands over its tile with empty stats.
+NAMES+=("a worker's SimStats dropped")
+FILES+=(crates/sim/src/tiling.rs)
+FROMS+=("board.finish(i, self.pass(i, &mut layout, &mut NoProbe));")
+TOS+=("board.finish(i, Tile { stats: SimStats::new(), ..self.pass(i, &mut layout, &mut NoProbe) });")
+
+# Pipelining keeps the drain or preload of the calling thread's last
+# pass, not of the final pass, which a worker may have run.
+NAMES+=("overlap's last pass taken from the calling thread")
+FILES+=(crates/sim/src/tiling.rs)
+FROMS+=($'                    self.pass(i, &mut layout, probe)\n                } else {\n                    board.next(i, |j| self.pass(j, &mut layout, &mut NoProbe))\n                };\n                stats += tile.stats;\n                overlap.tile(tile.overlappable);')
+TOS+=($'                    let tile = self.pass(i, &mut layout, probe);\n                    overlap.last = tile.overlappable;\n                    tile\n                } else {\n                    board.next(i, |j| {\n                        let tile = self.pass(j, &mut layout, &mut NoProbe);\n                        overlap.last = tile.overlappable;\n                        tile\n                    })\n                };\n                stats += tile.stats;\n                overlap.total += tile.overlappable;')
 
 # The router's estimator keeps a booked completion at exactly `now`
 # outstanding, so the load the routers and admission read runs high.
