@@ -2071,12 +2071,12 @@ impl<'a> PodEngine<'a> {
             };
             // Bill the join as the cycle (and traffic) delta between the
             // old and new fused shapes under the job's fixed mapping,
-            // appended to its last tile. The memoized model gives the
-            // cycles the shape's scale-up tile walk totals.
+            // appended to its last tile. The runtime model's closed form
+            // gives the cycles the shape's scale-up tile walk totals.
             let old_shape = job.batch.shape;
             let new_shape = coalesced_shape(key, job.batch.requests.len() + 1);
-            let mut cycles = |shape| {
-                let (_, cycles) = self.models.service_cycles(
+            let cycles = |shape| {
+                let (_, cycles) = service_cycles(
                     &job.cfg,
                     MappingPolicy::Fixed(job.dataflow),
                     pod.drain,

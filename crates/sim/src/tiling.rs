@@ -282,6 +282,8 @@ impl Board {
         }
     }
 
+    /// The state, also after a thread panicked: every update of it is
+    /// one step, so it is whole at every point a panic can leave it.
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -404,5 +406,68 @@ impl OverlapTracker {
                 Dataflow::Ws | Dataflow::Is => stats.preload_cycles -= hidden,
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+
+    /// A finished pass, marked with its index.
+    fn tile(i: usize) -> Tile {
+        Tile {
+            output: Matrix::zeros(1, 1),
+            stats: SimStats {
+                tiles: i,
+                ..SimStats::new()
+            },
+            overlappable: i,
+        }
+    }
+
+    #[test]
+    fn tiles_are_applied_in_pass_order_whatever_order_they_finish_in() {
+        // The calling thread runs pass 0. Inside it, worker A claims
+        // pass 1, then worker B claims and finishes pass 2 before A
+        // finishes pass 1, so the finished tiles wait as 2, then 1.
+        let board = &Board::new(3, 3);
+        let (start_a, a_started) = mpsc::channel();
+        let (a_claimed, a_has_claimed) = mpsc::channel();
+        let (start_b, b_started) = mpsc::channel();
+        let (finish_a, a_may_finish) = mpsc::channel();
+        let (a_finished, a_has_finished) = mpsc::channel();
+        thread::scope(|scope| {
+            scope.spawn(move || {
+                a_started.recv().expect("the caller starts A");
+                let i = board.claim().expect("pass 1 is free");
+                a_claimed.send(i).expect("the caller waits");
+                a_may_finish.recv().expect("B lets A finish");
+                board.finish(i, tile(i));
+                a_finished.send(()).expect("the caller waits");
+                assert_eq!(board.claim(), None);
+            });
+            scope.spawn(move || {
+                b_started.recv().expect("the caller starts B");
+                let i = board.claim().expect("pass 2 is free");
+                board.finish(i, tile(i));
+                finish_a.send(()).expect("A waits");
+                assert_eq!(board.claim(), None);
+            });
+            let applied: Vec<usize> = (0..3)
+                .map(|i| {
+                    let done = board.next(i, |j| {
+                        assert_eq!(j, 0, "only pass 0 is the caller's");
+                        start_a.send(()).expect("A waits");
+                        assert_eq!(a_has_claimed.recv(), Ok(1));
+                        start_b.send(()).expect("B waits");
+                        a_has_finished.recv().expect("A finishes");
+                        tile(j)
+                    });
+                    done.stats.tiles
+                })
+                .collect();
+            assert_eq!(applied, [0, 1, 2]);
+        });
     }
 }
