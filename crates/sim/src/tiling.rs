@@ -110,7 +110,7 @@ impl<'a> Tiling<'a> {
         )
     }
 
-    /// The `M x N` product's shape.
+    /// A zero `M x N` product.
     fn output(&self) -> Matrix {
         match self.cfg.dataflow {
             Dataflow::Os => Matrix::zeros(self.rows.rows(), self.cols.cols()),
