@@ -2,6 +2,7 @@
 
 use super::{Architecture, DrainPolicy, RuntimeSpec, TilePhase};
 use crate::shape::GemmShape;
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -22,6 +23,10 @@ use std::ops::Range;
 /// from the bytes the range carries, which telescope along a row and
 /// reduce to a floor sum over rows for the right edge.
 /// `tile_schedule` keeps its per-tile loop as the oracle.
+///
+/// On the narrow path (`B·A` fits in u64) the walk divides by neither
+/// `A` nor `nc`: both are fixed per walk, so each floor is a multiply by
+/// a stored reciprocal plus one correction ([`Divisor`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileWalk {
     /// Tile rows of the grid.
@@ -43,6 +48,10 @@ pub struct TileWalk {
     quanta: [u64; 4],
     /// Whether `B·A` fits in u64, so `F` can take the u64 path.
     narrow: bool,
+    /// `A` as a divisor of the u64 path (1 on the u128 path, unused).
+    area_div: Divisor,
+    /// `nc`, which splits a tile index into its row and column.
+    cols_div: Divisor,
     /// Drain cycles billed after the last tile.
     final_drain: u64,
 }
@@ -124,9 +133,12 @@ impl TileWalk {
         let sr = (nr - 1) * heights[0] + heights[1];
         let sc = (nc - 1) * widths[0] + widths[1];
         let area = (sr as u128 * sc as u128).max(1);
-        let narrow = (bytes as u128)
-            .checked_mul(area)
-            .is_some_and(|p| p <= u64::MAX as u128);
+        // With no bytes `B·A` is 0 for any area, but the u64 path also
+        // needs `A` itself to fit.
+        let narrow = area <= u64::MAX as u128
+            && (bytes as u128)
+                .checked_mul(area)
+                .is_some_and(|p| p <= u64::MAX as u128);
         let mut walk = TileWalk {
             nr,
             nc,
@@ -137,9 +149,15 @@ impl TileWalk {
             area,
             quanta: [0; 4],
             narrow,
+            area_div: Divisor::new(if narrow { area as u64 } else { 1 }),
+            cols_div: Divisor::new(nc as u64),
             final_drain,
         };
-        walk.quanta = std::array::from_fn(|k| walk.floor((heights[k / 2] * widths[k % 2]) as u128));
+        // A size larger than the walk (full tiles of a one-row grid, say)
+        // never occurs; capping its area at `A` keeps `B·x` in range.
+        walk.quanta = std::array::from_fn(|k| {
+            walk.floor(((heights[k / 2] * widths[k % 2]) as u128).min(area))
+        });
         walk
     }
 
@@ -191,7 +209,7 @@ impl TileWalk {
     /// Tile `i` with its size index, `2 * last_row + last_col`.
     fn locate(&self, i: usize) -> (usize, TilePhase) {
         assert!(i < self.len(), "tile {i} of a {}-tile walk", self.len());
-        let (r, c) = (i / self.nc, i % self.nc);
+        let (r, c) = self.row_col(i);
         let (lr, lc) = (usize::from(r + 1 == self.nr), usize::from(c + 1 == self.nc));
         let (rows, cols) = (self.heights[lr], self.widths[lc]);
         let before = self.area_before(r, c);
@@ -221,7 +239,24 @@ impl TileWalk {
         PricedWalk {
             walk: self,
             f,
-            prices: Default::default(),
+            prices: Cow::Owned(PriceCells::default()),
+        }
+    }
+
+    /// [`priced`](Self::priced) with the prices memoized in `cells`,
+    /// which outlive the view: every view of this walk built over the
+    /// same cells shares the prices any of them has computed. A cell
+    /// holds what the cost of the view that filled it returned, so
+    /// `cells` must only ever serve this walk under this one `f`.
+    pub fn priced_in<'w, F: Fn(u64, u64) -> u64>(
+        &'w self,
+        f: F,
+        cells: &'w PriceCells,
+    ) -> PricedWalk<'w, F> {
+        PricedWalk {
+            walk: self,
+            f,
+            prices: Cow::Borrowed(cells),
         }
     }
 
@@ -242,7 +277,7 @@ impl TileWalk {
     /// computed exactly as `tile_schedule` does.
     fn floor(&self, x: u128) -> u64 {
         if self.narrow {
-            self.bytes * x as u64 / self.area as u64
+            self.area_div.div_rem(self.bytes * x as u64).0
         } else {
             (self.bytes as u128 * x / self.area) as u64
         }
@@ -266,8 +301,15 @@ impl TileWalk {
         if i == self.len() {
             self.area
         } else {
-            self.area_before(i / self.nc, i % self.nc)
+            let (r, c) = self.row_col(i);
+            self.area_before(r, c)
         }
+    }
+
+    /// The grid row and column of tile index `i`.
+    fn row_col(&self, i: usize) -> (usize, usize) {
+        let (r, c) = self.cols_div.div_rem(i as u64);
+        (r as usize, c as usize)
     }
 
     /// Tile count and DRAM bytes per size index over `range`.
@@ -278,8 +320,7 @@ impl TileWalk {
         if a >= b {
             return out;
         }
-        let nc = self.nc;
-        let top = (self.nr - 1) * nc;
+        let top = (self.nr - 1) * self.nc;
         let split_edge = self.edge_differs();
         let bytes = |s: usize, e: usize| self.floor(self.area_at(e)) - self.floor(self.area_at(s));
         if a < top {
@@ -288,7 +329,7 @@ impl TileWalk {
             let e = b.min(top);
             let (n, total) = ((e - a) as u64, bytes(a, e));
             if split_edge {
-                let (r0, r1) = (a / nc, e / nc);
+                let (r0, r1) = (self.row_col(a).0, self.row_col(e).0);
                 let edge = self.right_edge_bytes(r0, r1);
                 out[0] = (n - (r1 - r0) as u64, total - edge);
                 out[1] = ((r1 - r0) as u64, edge);
@@ -313,35 +354,89 @@ impl TileWalk {
 
     /// DRAM bytes of the right-edge tiles of full-height rows
     /// `r0..r1`: `Σ F((r+1)·R·sc) - F((r+1)·R·sc - R·rc)`.
+    ///
+    /// Up to [`DIRECT_ROWS`] rows are summed term by term, which on the
+    /// narrow path takes no division; more take two floor sums, in u64
+    /// when the narrow path bounds every intermediate.
     fn right_edge_bytes(&self, r0: usize, r1: usize) -> u64 {
-        if r1 == r0 {
-            return 0;
-        }
         let pitch = self.row_area();
         let edge = (self.heights[0] * self.widths[1]) as u128;
         let end = (r0 as u128 + 1) * pitch;
-        let (n, b) = ((r1 - r0) as u128, self.bytes as u128);
-        let ends = floor_sum(n, self.area, b * pitch, b * end);
-        let starts = floor_sum(n, self.area, b * pitch, b * (end - edge));
-        (ends - starts) as u64
+        let n = (r1 - r0) as u128;
+        if n <= DIRECT_ROWS {
+            return (0..n)
+                .map(|i| end + i * pitch)
+                .map(|x| self.floor(x) - self.floor(x - edge))
+                .sum();
+        }
+        let (a, b) = (self.bytes as u128 * pitch, self.bytes as u128);
+        // Narrow: `a` and `b·x` are at most `B·A`, and the reduction's
+        // intermediates stay below `A·(n + 1)` or the result itself,
+        // which is at most `n·B <= A·B`.
+        if self.narrow && self.area * (n + 1) <= u64::MAX as u128 {
+            let sum = |x: u128| floor_sum(n as u64, self.area as u64, a as u64, (b * x) as u64);
+            return sum(end) - sum(end - edge);
+        }
+        let sum = |x: u128| floor_sum(n, self.area, a, b * x);
+        (sum(end) - sum(end - edge)) as u64
     }
 }
 
+/// Floor division by a divisor `d >= 1` fixed for a walk, through its
+/// reciprocal `m = floor((2^64 - 1) / d)` (Granlund and Montgomery,
+/// "Division by Invariant Integers using Multiplication", PLDI 1994).
+///
+/// `q = floor(n·m / 2^64)` is exact or one short for every u64 `n`:
+/// `m·d < 2^64` gives `q·d <= n·m·d / 2^64 < n`, so `q <= floor(n / d)`;
+/// `m·d >= 2^64 - d` gives `n·m / 2^64 > n / d - 1`, so
+/// `q > n / d - 2`. Hence `n - q·d < 2d`, and one compare of the
+/// remainder against `d` settles the quotient.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Divisor {
+    d: u64,
+    m: u64,
+}
+
+impl Divisor {
+    fn new(d: u64) -> Self {
+        Divisor { d, m: u64::MAX / d }
+    }
+
+    /// `(n / d, n % d)`.
+    fn div_rem(self, n: u64) -> (u64, u64) {
+        let q = ((n as u128 * self.m as u128) >> 64) as u64;
+        let r = n - q * self.d;
+        let (q, r) = if r >= self.d {
+            (q + 1, r - self.d)
+        } else {
+            (q, r)
+        };
+        debug_assert_eq!((q, r), (n / self.d, n % self.d), "reciprocal of {}", self.d);
+        (q, r)
+    }
+}
+
+/// The memo of a [`PricedWalk`]: the cost of a tile per size index,
+/// carrying `q` and `q + 1` bytes, each `None` until first needed.
+/// [`TileWalk::priced_in`] keeps it outside the view, so that many
+/// views of one walk under one cost share it.
+#[derive(Debug, Clone, Default)]
+pub struct PriceCells([[Cell<Option<u64>>; 2]; 4]);
+
 /// A [`TileWalk`] under one per-tile cost function, built by
-/// [`TileWalk::priced`].
+/// [`TileWalk::priced`] or [`TileWalk::priced_in`].
 #[derive(Debug)]
 pub struct PricedWalk<'w, F> {
     walk: &'w TileWalk,
     f: F,
-    /// Cost of a tile per size index, carrying `q` and `q + 1` bytes;
-    /// `None` until first needed.
-    prices: [[Cell<Option<u64>>; 2]; 4],
+    /// The view's own cells, or the caller's.
+    prices: Cow<'w, PriceCells>,
 }
 
 impl<F: Fn(u64, u64) -> u64> PricedWalk<'_, F> {
     /// Cost of a tile of size index `k` carrying `q + extra` bytes.
     fn price(&self, k: usize, extra: u64) -> u64 {
-        let cell = &self.prices[k][extra as usize];
+        let cell = &self.prices.0[k][extra as usize];
         cell.get().unwrap_or_else(|| {
             let w = self.walk;
             let v = (self.f)(w.cycles[k], w.quanta[k] + extra);
@@ -383,19 +478,36 @@ impl<F: Fn(u64, u64) -> u64> PricedWalk<'_, F> {
     }
 }
 
+/// Right-edge row counts up to which
+/// [`right_edge_bytes`](TileWalk::right_edge_bytes) sums term by term
+/// rather than by [`floor_sum`], whose reduction costs a few divisions
+/// per step.
+const DIRECT_ROWS: u128 = 2;
+
 /// `Σ_{i < n} floor((a·i + b) / m)` by the Euclid-like reduction (as in
 /// AtCoder Library's `floor_sum`). Every intermediate stays below
 /// `m·(n + 1)` or the result itself.
-fn floor_sum(mut n: u128, mut m: u128, mut a: u128, mut b: u128) -> u128 {
-    let mut ans = 0;
+fn floor_sum<T>(mut n: T, mut m: T, mut a: T, mut b: T) -> T
+where
+    T: Copy
+        + Ord
+        + From<u8>
+        + std::ops::Add<Output = T>
+        + std::ops::Sub<Output = T>
+        + std::ops::Mul<Output = T>
+        + std::ops::Div<Output = T>
+        + std::ops::Rem<Output = T>,
+{
+    let (one, two) = (T::from(1), T::from(2));
+    let mut ans = T::from(0);
     loop {
         if a >= m {
-            ans += n * (n - 1) / 2 * (a / m);
-            a %= m;
+            ans = ans + n * (n - one) / two * (a / m);
+            a = a % m;
         }
         if b >= m {
-            ans += n * (b / m);
-            b %= m;
+            ans = ans + n * (b / m);
+            b = b % m;
         }
         let y_max = a * n + b;
         if y_max < m {
@@ -419,6 +531,8 @@ mod tests {
                     for b in [0u128, 1, 7, 19, 40] {
                         let direct: u128 = (0..n).map(|i| (a * i + b) / m).sum();
                         assert_eq!(floor_sum(n, m, a, b), direct, "{n} {m} {a} {b}");
+                        let narrow = floor_sum(n as u64, m as u64, a as u64, b as u64);
+                        assert_eq!(narrow as u128, direct, "u64 {n} {m} {a} {b}");
                     }
                 }
             }
