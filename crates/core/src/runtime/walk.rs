@@ -26,7 +26,7 @@ use std::ops::Range;
 ///
 /// On the narrow path (`B·A` fits in u64) the walk divides by neither
 /// `A` nor `nc`: both are fixed per walk, so each floor is a multiply by
-/// a stored reciprocal plus one correction ([`Divisor`]).
+/// a stored reciprocal plus one correction (`Divisor`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileWalk {
     /// Tile rows of the grid.
