@@ -196,8 +196,8 @@ TOS+=("for (i, key) in keys.iter().enumerate().take(1) {")
 # quotient comes out one short stays short.
 NAMES+=("reciprocal floor drops its +1 correction")
 FILES+=(crates/core/src/runtime/walk.rs)
-FROMS+=("let (q, r) = if r >= self.d { (q + 1, r - self.d) } else { (q, r) };")
-TOS+=("let (q, r) = (q, r);")
+FROMS+=("(q + 1, r - self.d)")
+TOS+=("(q, r)")
 
 # A job re-projected under a new total weight still prices its walk
 # through the row of the weight it was last timed under.
@@ -210,8 +210,8 @@ TOS+=("Some(rows) if timing.is_shared() => rows.get(self.timed_total_weight.max(
 # under another dataflow gets the first dataflow's walk and prices.
 NAMES+=("walk intern key without the dataflow")
 FILES+=(crates/serve/src/pod.rs)
-FROMS+=("walks.entry((*cfg, df, shape))")
-TOS+=("walks.entry((*cfg, Dataflow::Os, shape))")
+FROMS+=(".entry((*cfg, df, shape))")
+TOS+=(".entry((*cfg, Dataflow::Os, shape))")
 
 if [ $# -gt 1 ]; then
     echo "usage: bash scripts/mutants.sh [<rev>]" >&2
