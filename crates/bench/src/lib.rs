@@ -18,4 +18,4 @@ pub mod overload;
 pub mod policy;
 pub mod series;
 pub mod serving;
-pub mod sweep;
+pub(crate) mod sweep;

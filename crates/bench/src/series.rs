@@ -408,7 +408,7 @@ pub fn json_path_from_args() -> Option<PathBuf> {
 }
 
 /// Testable core of [`json_path_from_args`].
-pub fn json_path_from(args: &[String]) -> Option<PathBuf> {
+pub(crate) fn json_path_from(args: &[String]) -> Option<PathBuf> {
     args.iter()
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1))

@@ -63,14 +63,14 @@ pub struct ServingCurve {
 /// A sweep pod: `arrays` square `side x side` arrays of `arch` with the
 /// serving defaults, mapped with the paper's minimum-temporal policy
 /// (the `serving_sweep` binary uses four 128x128 arrays).
-pub fn serving_pod(arch: Architecture, arrays: usize, side: usize) -> PodConfig {
+pub(crate) fn serving_pod(arch: Architecture, arrays: usize, side: usize) -> PodConfig {
     PodConfig::homogeneous(arrays, arch, side).with_mapping(MappingPolicy::MinTemporal)
 }
 
 /// The decode-heavy serving mix: mostly single-token decode, some
 /// prefill (which exercises the scale-out sharding path) and a trickle
 /// of recommender GEMVs.
-pub fn serving_mix() -> WorkloadMix {
+pub(crate) fn serving_mix() -> WorkloadMix {
     WorkloadMix::new(vec![
         (RequestClass::Decode, 0.85),
         (RequestClass::Prefill, 0.10),

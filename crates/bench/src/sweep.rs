@@ -19,7 +19,7 @@
 /// and the per-chunk results are concatenated in chunk order — so the
 /// output is exactly `items.iter().map(run).collect()`, computed on
 /// more cores. With one item (or one core) it simply runs inline.
-pub fn run_sweep_parallel<T, R, F>(items: &[T], run: F) -> Vec<R>
+pub(crate) fn run_sweep_parallel<T, R, F>(items: &[T], run: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -37,7 +37,7 @@ impl Tiling {
     /// For scale-up this is `ceil(S_R/R) * ceil(S_C/C)`; for scale-out the
     /// spatial dimensions are first divided by the partition counts
     /// (`S'_R = S_R / P_R`, `S'_C = S_C / P_C`, rounded up).
-    pub fn sequential_tiles(&self, st: SpatioTemporal, array: ArrayShape) -> usize {
+    pub(crate) fn sequential_tiles(&self, st: SpatioTemporal, array: ArrayShape) -> usize {
         let (sr, sc) = self.effective_spatial(st);
         div_ceil(sr, array.rows()) * div_ceil(sc, array.cols())
     }
@@ -53,17 +53,6 @@ impl Tiling {
                 div_ceil(st.sr, partitions_r.max(1)),
                 div_ceil(st.sc, partitions_c.max(1)),
             ),
-        }
-    }
-
-    /// Total number of arrays executing in parallel.
-    pub fn parallel_arrays(&self) -> usize {
-        match *self {
-            Tiling::ScaleUp => 1,
-            Tiling::ScaleOut {
-                partitions_r,
-                partitions_c,
-            } => partitions_r.max(1) * partitions_c.max(1),
         }
     }
 }
@@ -176,7 +165,6 @@ mod tests {
         };
         // S'_R = 50, S'_C = 25 -> ceil(50/32)*ceil(25/32) = 2*1
         assert_eq!(t.sequential_tiles(st, array), 2);
-        assert_eq!(t.parallel_arrays(), 4);
     }
 
     #[test]

@@ -23,19 +23,13 @@ pub struct BlockCost {
 }
 
 impl BlockCost {
-    /// A zero-cost placeholder.
-    pub const ZERO: BlockCost = BlockCost {
-        area_um2: 0.0,
-        power_mw: 0.0,
-    };
-
     /// Creates a block cost.
-    pub fn new(area_um2: f64, power_mw: f64) -> Self {
+    pub(crate) fn new(area_um2: f64, power_mw: f64) -> Self {
         Self { area_um2, power_mw }
     }
 
     /// Scales both metrics by a count.
-    pub fn times(self, count: f64) -> Self {
+    pub(crate) fn times(self, count: f64) -> Self {
         Self {
             area_um2: self.area_um2 * count,
             power_mw: self.power_mw * count,
@@ -115,7 +109,7 @@ impl ComponentLibrary {
 
     /// Cost of one conventional PE (MAC + two operand buffers +
     /// accumulator + control).
-    pub fn conventional_pe(&self) -> BlockCost {
+    pub(crate) fn conventional_pe(&self) -> BlockCost {
         self.fp16_mac + self.operand_buffer.times(2.0) + self.accumulator + self.pe_control
     }
 }
@@ -146,7 +140,7 @@ mod tests {
         let c = a + b.times(2.0);
         assert!((c.area_um2 - 20.0).abs() < 1e-12);
         assert!((c.power_mw - 2.0).abs() < 1e-12);
-        let mut d = BlockCost::ZERO;
+        let mut d = BlockCost::new(0.0, 0.0);
         d += a;
         assert_eq!(d, a);
     }

@@ -25,7 +25,7 @@ pub struct ExecutionEnergy {
 
 impl ExecutionEnergy {
     /// Run time in seconds.
-    pub fn time_s(&self) -> f64 {
+    pub(crate) fn time_s(&self) -> f64 {
         self.cycles as f64 / (self.clock_mhz * 1e6)
     }
 

@@ -44,4 +44,3 @@ pub use components::{BlockCost, ComponentLibrary};
 pub use energy::{execution_energy, ExecutionEnergy};
 pub use node::TechNode;
 pub use report::{sweep_vs_sauria, ImplementationSpecs, SweepPoint};
-pub use sauria::SauriaFeederConfig;

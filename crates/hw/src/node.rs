@@ -37,7 +37,7 @@ impl TechNode {
 
     /// TSMC 45 nm. Generic scaling: ~14x the standard-cell area and
     /// ~3.5x the dynamic power of the 7 nm library at iso-frequency.
-    pub fn tsmc45() -> Self {
+    pub(crate) fn tsmc45() -> Self {
         Self {
             name: "TSMC45",
             feature_nm: 45,

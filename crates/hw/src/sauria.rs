@@ -10,7 +10,7 @@ use crate::components::{BlockCost, ComponentLibrary};
 
 /// Number of each feeder building block per array column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SauriaFeederConfig {
+pub(crate) struct SauriaFeederConfig {
     /// Window/address counters per column feeder.
     pub counters: usize,
     /// Feed registers per column feeder.
@@ -34,14 +34,14 @@ impl Default for SauriaFeederConfig {
 
 impl SauriaFeederConfig {
     /// Cost of one column feeder.
-    pub fn column_cost(&self, lib: &ComponentLibrary) -> BlockCost {
+    pub(crate) fn column_cost(&self, lib: &ComponentLibrary) -> BlockCost {
         lib.counter.times(self.counters as f64)
             + lib.feed_register.times(self.feed_registers as f64)
             + lib.fifo8x16.times(self.fifos as f64)
     }
 
     /// Cost of the whole feeder network for an array with `cols` columns.
-    pub fn network_cost(&self, lib: &ComponentLibrary, cols: usize) -> BlockCost {
+    pub(crate) fn network_cost(&self, lib: &ComponentLibrary, cols: usize) -> BlockCost {
         self.column_cost(lib).times(cols as f64)
     }
 }

@@ -40,6 +40,5 @@ pub use onchip::{
 pub use software::{direct_conv, flatten_filters, im2col};
 pub use tensor::{FilterBank, Tensor3};
 pub use traffic::{
-    layer_dram_traffic, layer_traffic, network_traffic, DramTrafficModel, LayerTraffic,
-    OnchipPolicy, TrafficParams,
+    layer_dram_traffic, layer_traffic, DramTrafficModel, LayerTraffic, OnchipPolicy, TrafficParams,
 };

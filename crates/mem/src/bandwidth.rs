@@ -53,12 +53,6 @@ impl BandwidthModel {
         compute.max(memory)
     }
 
-    /// `true` when the leg is limited by DRAM bandwidth.
-    pub fn is_memory_bound(&self, leg: ExecutionLeg) -> bool {
-        let compute = leg.compute_cycles as f64 / (self.accel_clock_mhz * 1e6);
-        self.dram.transfer_time_s(leg.dram_bytes) > compute
-    }
-
     /// Speedup obtained by reducing a leg's traffic from `before_bytes`
     /// to `after_bytes` at unchanged compute.
     ///
@@ -106,20 +100,6 @@ mod tests {
         // Tiny traffic, huge compute.
         let s = m.traffic_reduction_speedup(1_000_000_000, 1000, 500);
         assert!((s - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn memory_bound_detection() {
-        let m = BandwidthModel::default();
-        // 6.4 GB takes 1 s; 1000 cycles at 800 MHz is ~1.25 us.
-        assert!(m.is_memory_bound(ExecutionLeg {
-            compute_cycles: 1000,
-            dram_bytes: 6_400_000_000,
-        }));
-        assert!(!m.is_memory_bound(ExecutionLeg {
-            compute_cycles: 800_000_000,
-            dram_bytes: 64,
-        }));
     }
 
     #[test]

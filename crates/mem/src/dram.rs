@@ -46,7 +46,7 @@ impl DramConfig {
     }
 
     /// Time to transfer `bytes` at peak bandwidth, in seconds.
-    pub fn transfer_time_s(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_time_s(&self, bytes: usize) -> f64 {
         bytes as f64 / self.bandwidth_bytes_per_s
     }
 

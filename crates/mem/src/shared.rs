@@ -71,15 +71,6 @@ impl SharedDram {
         Self { dram, channels }
     }
 
-    /// An effectively-private configuration: enough channels that no
-    /// realistic demand population ever contends.
-    pub fn private(dram: DramConfig) -> Self {
-        Self {
-            dram,
-            channels: usize::MAX,
-        }
-    }
-
     /// The bandwidth fraction of one interface allocated to each unit of
     /// weight when `total_weight` units are active: `min(1, C / W)`.
     /// `total_weight == 0` (idle pod) yields `1.0`.
@@ -89,12 +80,6 @@ impl SharedDram {
         } else {
             self.channels as f64 / total_weight as f64
         }
-    }
-
-    /// Bandwidth allocated to a weight-`weight` demand when
-    /// `total_weight` units are active pod-wide, in bytes/s.
-    pub fn allocated_bandwidth(&self, weight: usize, total_weight: usize) -> f64 {
-        weight as f64 * self.fraction(total_weight) * self.dram.bandwidth_bytes_per_s
     }
 
     /// Seconds to move `bytes` for a weight-`weight` demand under
@@ -229,7 +214,7 @@ mod tests {
         let shared = SharedDram::new(DramConfig::lpddr3(), 2);
         // 8 single-weight demands over 2 channels: each at B/4, but the
         // aggregate stays at 2 B.
-        let per = shared.allocated_bandwidth(1, 8);
+        let per = shared.fraction(8) * shared.dram.bandwidth_bytes_per_s;
         assert!((per - shared.dram.bandwidth_bytes_per_s / 4.0).abs() < 1e-3);
         assert!((8.0 * per - 2.0 * shared.dram.bandwidth_bytes_per_s).abs() < 1e-3);
     }
@@ -293,7 +278,7 @@ mod tests {
 
     #[test]
     fn private_never_contends() {
-        let p = SharedDram::private(DramConfig::lpddr3());
+        let p = SharedDram::new(DramConfig::lpddr3(), usize::MAX);
         assert_eq!(p.fraction(1_000_000), 1.0);
         assert!(p.to_string().contains("private"));
     }

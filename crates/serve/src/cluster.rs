@@ -10,7 +10,7 @@
 //!   global arrival trace online under a deterministic router-side load
 //!   estimator (the approximate counters a real L7 balancer keeps),
 //!   while each pod replays its routed requests through the *exact*
-//!   single-pod event loop (the engine of [`simulate_pod_trace`]) on
+//!   single-pod event loop (the engine of [`simulate_pod_trace`](crate::simulate_pod_trace)) on
 //!   its own thread. Pods share no cross-pod resource (each owns its
 //!   DRAM channels), so the replays compose into the coupled fleet
 //!   timeline exactly.
@@ -270,7 +270,7 @@ pub struct ClusterMetrics {
 
 impl ClusterMetrics {
     /// Seconds represented by `cycles` at the cluster clock.
-    pub fn seconds(&self, cycles: u64) -> f64 {
+    pub(crate) fn seconds(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_mhz * 1e6)
     }
 

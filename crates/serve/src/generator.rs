@@ -154,7 +154,7 @@ impl WorkloadMix {
     }
 
     /// The `(class, weight)` entries.
-    pub fn entries(&self) -> &[(RequestClass, f64)] {
+    pub(crate) fn entries(&self) -> &[(RequestClass, f64)] {
         &self.entries
     }
 
@@ -308,13 +308,13 @@ impl RequestGenerator {
     }
 
     /// Requests still available to issue.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.budget
     }
 
     /// Draws the next request for `client`, arriving at `arrival`, or
     /// `None` when the budget is exhausted.
-    pub fn next_request(&mut self, client: usize, arrival: u64) -> Option<Request> {
+    pub(crate) fn next_request(&mut self, client: usize, arrival: u64) -> Option<Request> {
         if self.budget == 0 {
             return None;
         }

@@ -94,27 +94,20 @@ pub use generator::{
     ArrivalProcess, MmppState, RateSegment, RateWindow, RequestGenerator, SpikeWindow,
     TrafficConfig, WorkloadMix,
 };
-pub use metrics::{percentile, ClassMetrics, Completion, LatencySummary, PodMetrics, ShedRecord};
+pub use metrics::{ClassMetrics, Completion, LatencySummary, PodMetrics, ShedRecord};
 pub use pod::{
-    service_cycles, simulate_pod, simulate_pod_trace, simulate_pod_trace_traced,
-    simulate_pod_trace_with_policy, simulate_pod_traced, ArrayConfig, MappingPolicy, MemoryModel,
-    PodConfig, PreemptionMode, ServingReport, ShardPlanner, SpotCheckConfig,
+    simulate_pod, simulate_pod_trace, simulate_pod_trace_traced, simulate_pod_trace_with_policy,
+    simulate_pod_traced, ArrayConfig, MappingPolicy, MemoryModel, PodConfig, PreemptionMode,
+    ServingReport, ShardPlanner, SpotCheckConfig,
 };
 pub use replay::{parse_trace, write_trace, ReplayEntry, TRACE_SCHEMA};
-pub use request::{
-    batch_key_of, coalesced_shape, serving_transformer, BatchAxis, BatchKey, Request, RequestClass,
-    SloBudgets,
-};
+pub use request::{batch_key_of, BatchAxis, BatchKey, Request, RequestClass, SloBudgets};
 pub use rng::ServeRng;
-pub use router::{
-    DisaggregatedRouter, JsqRouter, PodRole, PodView, PowerOfTwoRouter, RandomRouter,
-    RoundRobinRouter, RouterPolicy, RoutingPolicy, SloAwareRouter,
-};
+pub use router::{PodRole, PodView, RouterPolicy, RoutingPolicy};
 pub use scheduler::{
-    AdmissionOutlook, AdmissionPolicy, Batch, CoalescingPolicy, EdfPolicy, FifoPolicy, QueueIndex,
-    SchedulerPolicy, SchedulingPolicy, ShedReason, WfqPolicy,
+    AdmissionPolicy, Batch, QueueIndex, SchedulerPolicy, SchedulingPolicy, ShedReason, WfqPolicy,
 };
 pub use trace::{
-    check_conservation, chrome_trace_json, AggregatingSink, Histogram, NullSink, RecordingSink,
+    check_conservation, chrome_trace_json, AggregatingSink, Histogram, RecordingSink,
     RequestOutcome, SimProfile, TraceEvent, TraceSink,
 };

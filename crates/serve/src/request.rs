@@ -15,7 +15,7 @@ use std::fmt;
 /// The transformer the serving catalogs default to: an edge-class decoder
 /// whose kernels are short enough to be fill-latency-bound on a 128x128
 /// array — exactly where the paper's `2R-2 -> R-1` fill claim bites.
-pub fn serving_transformer() -> TransformerConfig {
+pub(crate) fn serving_transformer() -> TransformerConfig {
     TransformerConfig {
         seq_len: 128,
         d_model: 512,
@@ -42,7 +42,7 @@ pub enum RequestClass {
 
 impl RequestClass {
     /// All request classes, in a fixed order.
-    pub const ALL: [RequestClass; 5] = [
+    pub(crate) const ALL: [RequestClass; 5] = [
         RequestClass::Prefill,
         RequestClass::Decode,
         RequestClass::ResNet50,
@@ -52,14 +52,14 @@ impl RequestClass {
 
     /// The workloads of this class for the default
     /// [`serving_transformer`] model.
-    pub fn catalog(self) -> Vec<GemmWorkload> {
+    pub(crate) fn catalog(self) -> Vec<GemmWorkload> {
         self.catalog_for(serving_transformer())
     }
 
     /// The workloads of this class, with transformer classes drawn from
     /// `model` (pass [`TransformerConfig::gpt3_2p7b`] for the paper's
     /// datacenter-scale shapes).
-    pub fn catalog_for(self, model: TransformerConfig) -> Vec<GemmWorkload> {
+    pub(crate) fn catalog_for(self, model: TransformerConfig) -> Vec<GemmWorkload> {
         match self {
             RequestClass::Prefill => model.block_workloads(),
             RequestClass::Decode => model.decode_workloads(),
@@ -219,12 +219,6 @@ pub struct BatchKey {
 }
 
 impl Request {
-    /// Cycles of slack left before the deadline at time `now` (0 when the
-    /// deadline has passed).
-    pub fn slack(&self, now: u64) -> u64 {
-        self.deadline.saturating_sub(now)
-    }
-
     /// The batching key of this request, if it is a batchable GEMV.
     ///
     /// # Examples
@@ -238,12 +232,13 @@ impl Request {
     /// assert_eq!(k.fixed, (512, 2048));
     /// assert!(batch_key_of(GemmShape::new(64, 64, 64)).is_none());
     /// ```
-    pub fn batch_key(&self) -> Option<BatchKey> {
+    pub(crate) fn batch_key(&self) -> Option<BatchKey> {
         batch_key_of(self.workload.shape)
     }
 }
 
-/// See [`Request::batch_key`].
+/// The batching key of a request of `shape`, if it is a batchable GEMV:
+/// requests with equal keys can be coalesced into one GEMM.
 pub fn batch_key_of(shape: GemmShape) -> Option<BatchKey> {
     if shape.m == 1 && shape.n > 1 {
         Some(BatchKey {
@@ -261,7 +256,7 @@ pub fn batch_key_of(shape: GemmShape) -> Option<BatchKey> {
 }
 
 /// The GEMM executed for `count` coalesced requests with `key`.
-pub fn coalesced_shape(key: BatchKey, count: usize) -> GemmShape {
+pub(crate) fn coalesced_shape(key: BatchKey, count: usize) -> GemmShape {
     assert!(count > 0, "empty batch");
     match key.axis {
         BatchAxis::M => GemmShape::new(count, key.fixed.0, key.fixed.1),

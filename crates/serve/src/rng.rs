@@ -39,7 +39,7 @@ impl ServeRng {
     }
 
     /// Uniform value in `[0, 1)` with 53 bits of precision.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
@@ -51,7 +51,7 @@ impl ServeRng {
 
     /// Exponentially distributed value with the given mean (inverse-CDF
     /// sampling) — the inter-arrival law of an open-loop Poisson process.
-    pub fn exp(&mut self, mean: f64) -> f64 {
+    pub(crate) fn exp(&mut self, mean: f64) -> f64 {
         // unit_f64 is in [0, 1); 1 - u is in (0, 1] so ln is finite.
         -mean * (1.0 - self.unit_f64()).ln()
     }

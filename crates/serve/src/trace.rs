@@ -105,7 +105,7 @@ impl RequestOutcome {
 }
 
 /// One typed, cycle-stamped lifecycle event. Every variant carries the
-/// absolute cycle it happened at (see [`TraceEvent::cycle`]).
+/// absolute cycle it happened at (see `TraceEvent::cycle`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A request entered the system (cycle = its arrival cycle).
@@ -281,7 +281,7 @@ pub enum TraceEvent {
 
 impl TraceEvent {
     /// The absolute cycle the event is stamped with.
-    pub fn cycle(&self) -> u64 {
+    pub(crate) fn cycle(&self) -> u64 {
         match self {
             TraceEvent::Arrived { cycle, .. }
             | TraceEvent::Routed { cycle, .. }
@@ -306,7 +306,7 @@ impl TraceEvent {
 
     /// Short stable name of the event kind (taxonomy key in
     /// `docs/observability.md`).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TraceEvent::Arrived { .. } => "arrived",
             TraceEvent::Routed { .. } => "routed",
@@ -340,7 +340,7 @@ impl TraceEvent {
 /// virtual call per site and no payload construction.
 pub trait TraceSink {
     /// Whether the engine should construct and deliver events at all.
-    /// Defaults to `true`; [`NullSink`] overrides to `false`.
+    /// Defaults to `true`; the engine's no-op `NullSink` overrides to `false`.
     fn enabled(&self) -> bool {
         true
     }
@@ -368,7 +368,7 @@ pub trait TraceSink {
 /// ([`simulate_pod`](crate::simulate_pod),
 /// [`simulate_cluster`](crate::simulate_cluster), ...) runs with it.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
+pub(crate) struct NullSink;
 
 impl TraceSink for NullSink {
     fn enabled(&self) -> bool {
@@ -407,7 +407,7 @@ pub struct Histogram {
 
 impl Histogram {
     /// Records one value.
-    pub fn record(&mut self, v: u64) {
+    pub(crate) fn record(&mut self, v: u64) {
         let b = (u64::BITS - v.leading_zeros()) as usize;
         if self.buckets.len() <= b {
             self.buckets.resize(b + 1, 0);
@@ -458,7 +458,7 @@ pub struct AggregatingSink {
     pub stall_hist: Histogram,
     /// Every terminal outcome, in completion order.
     pub outcomes: Vec<RequestOutcome>,
-    /// Count of every event kind seen, keyed by [`TraceEvent::name`].
+    /// Count of every event kind seen, keyed by the event's name.
     pub event_counts: BTreeMap<&'static str, u64>,
     depth: u64,
     busy: u64,

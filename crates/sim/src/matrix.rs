@@ -100,15 +100,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Returns element `(r, c)` or `None` when out of bounds.
-    pub fn get(&self, r: usize, c: usize) -> Option<f32> {
-        if r < self.rows && c < self.cols {
-            Some(self.data[r * self.cols + c])
-        } else {
-            None
-        }
-    }
-
     /// A new matrix that is the transpose of `self`.
     pub fn transposed(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
@@ -117,7 +108,7 @@ impl Matrix {
     /// A sub-matrix view copied out as a new matrix, clamped to bounds.
     ///
     /// `row0/col0` are inclusive starts; `rows/cols` the extents.
-    pub fn sub(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Self {
+    pub(crate) fn sub(&self, row0: usize, col0: usize, rows: usize, cols: usize) -> Self {
         let rows = rows.min(self.rows.saturating_sub(row0)).max(1);
         let cols = cols.min(self.cols.saturating_sub(col0)).max(1);
         Self::from_fn(rows, cols, |r, c| self[(row0 + r, col0 + c)])
@@ -221,9 +212,6 @@ mod tests {
     fn from_fn_and_index() {
         let m = Matrix::from_fn(3, 2, |r, c| (10 * r + c) as f32);
         assert_eq!(m[(2, 1)], 21.0);
-        assert_eq!(m.get(3, 0), None);
-        assert_eq!(m.get(0, 2), None);
-        assert_eq!(m.get(2, 1), Some(21.0));
     }
 
     #[test]

@@ -110,7 +110,7 @@ pub struct DemandTrace {
 
 impl DemandTrace {
     /// Creates an empty trace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -237,29 +237,8 @@ impl Activity {
     }
 
     /// Number of PEs that fired at least once.
-    pub fn active_pes(&self) -> usize {
+    pub(crate) fn active_pes(&self) -> usize {
         self.macs.iter().filter(|&&m| m > 0).count()
-    }
-
-    /// ASCII heatmap of per-PE MAC counts, normalized to the busiest PE
-    /// (`.` = idle, `1`–`9` = deciles of the maximum).
-    pub fn heatmap_string(&self) -> String {
-        let max = self.macs.iter().copied().max().unwrap_or(0).max(1);
-        let mut s = String::with_capacity((self.cols + 1) * self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let m = self.mac_count(r, c);
-                let ch = if m == 0 {
-                    '.'
-                } else {
-                    let decile = (9 * m).div_ceil(max).min(9);
-                    char::from(b'0' + decile as u8)
-                };
-                s.push(ch);
-            }
-            s.push('\n');
-        }
-        s
     }
 
     /// ASCII rendering of the first-MAC wavefront (`.` = never fired).
@@ -319,18 +298,6 @@ mod tests {
         assert_eq!(a.mac_count(0, 1), 2);
         assert_eq!(a.mac_count(1, 1), 0);
         assert_eq!(a.active_pes(), 1);
-    }
-
-    #[test]
-    fn heatmap_rendering() {
-        let mut a = Activity::new(2, 2);
-        for _ in 0..10 {
-            a.mac(0, 0, 0);
-        }
-        a.mac(0, 1, 0);
-        let s = a.heatmap_string();
-        // Busiest PE renders 9; the 1/10th PE renders its decile; idle '.'
-        assert_eq!(s, "9.\n1.\n");
     }
 
     #[test]

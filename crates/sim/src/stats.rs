@@ -29,7 +29,7 @@ pub struct SimStats {
 
 impl SimStats {
     /// Creates an all-zero statistics record.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -27,7 +27,7 @@ impl DwConvLayer {
     /// # Panics
     ///
     /// Panics if the per-channel geometry is not single-channel.
-    pub fn new(name: &'static str, channels: usize, geometry: ConvLayer) -> Self {
+    pub(crate) fn new(name: &'static str, channels: usize, geometry: ConvLayer) -> Self {
         assert_eq!(geometry.in_channels, 1, "per-channel geometry must be 1-in");
         assert_eq!(
             geometry.out_channels, 1,
@@ -41,22 +41,12 @@ impl DwConvLayer {
         }
     }
 
-    /// The per-channel GEMM: `1 x n^2 x (OH*OW)`.
-    pub fn per_channel_gemm(&self) -> GemmShape {
-        self.geometry.gemm_shape()
-    }
-
     /// The layer treated as one batched GEMM with channels stacked along
     /// `M` (a common mapping when the array processes many channels per
     /// pass).
-    pub fn batched_gemm(&self) -> GemmShape {
+    pub(crate) fn batched_gemm(&self) -> GemmShape {
         let g = self.geometry.gemm_shape();
         GemmShape::new(self.channels, g.k, g.n)
-    }
-
-    /// Total MACs across channels.
-    pub fn macs(&self) -> usize {
-        self.channels * self.geometry.macs()
     }
 
     /// As a [`GemmWorkload`] (batched form).
@@ -100,7 +90,7 @@ fn dw(
 }
 
 /// MobileNetV1 depthwise layers at 224x224 (Howard et al., 2017).
-pub fn mobilenet_dw_layers() -> Vec<DwConvLayer> {
+pub(crate) fn mobilenet_dw_layers() -> Vec<DwConvLayer> {
     vec![
         dw("MBv1_dw1", 32, 112, 3, 1),
         dw("MBv1_dw2", 64, 112, 3, 2),
@@ -116,7 +106,7 @@ pub fn mobilenet_dw_layers() -> Vec<DwConvLayer> {
 
 /// EfficientNet-B0 depthwise layers (Tan & Le, 2019) — a mix of 3x3 and
 /// 5x5 kernels.
-pub fn efficientnet_dw_layers() -> Vec<DwConvLayer> {
+pub(crate) fn efficientnet_dw_layers() -> Vec<DwConvLayer> {
     vec![
         dw("EffB0_dw1", 32, 112, 3, 1),
         dw("EffB0_dw2", 96, 112, 3, 2),
@@ -148,7 +138,7 @@ mod tests {
     #[test]
     fn per_channel_gemm_shape() {
         let l = dw("t", 64, 28, 3, 1);
-        let g = l.per_channel_gemm();
+        let g = l.geometry.gemm_shape();
         assert_eq!((g.m, g.k, g.n), (1, 9, 28 * 28));
         assert!(g.is_gemv() || g.m == 1);
     }
@@ -158,13 +148,13 @@ mod tests {
         let l = dw("t", 64, 28, 3, 1);
         let g = l.batched_gemm();
         assert_eq!(g.m, 64);
-        assert_eq!(l.macs(), g.macs());
+        assert_eq!(l.channels * l.geometry.macs(), g.macs());
     }
 
     #[test]
     fn low_arithmetic_intensity() {
         for l in fig14_dw_workloads() {
-            let ai = l.per_channel_gemm().arithmetic_intensity();
+            let ai = l.geometry.gemm_shape().arithmetic_intensity();
             assert!(ai < 10.0, "{}: AI {ai}", l.name);
         }
     }

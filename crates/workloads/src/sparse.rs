@@ -22,7 +22,12 @@ impl SparseGemm {
     /// # Panics
     ///
     /// Panics if a sparsity is outside `[0, 1]`.
-    pub fn new(name: &'static str, shape: GemmShape, sparsity_a: f64, sparsity_b: f64) -> Self {
+    pub(crate) fn new(
+        name: &'static str,
+        shape: GemmShape,
+        sparsity_a: f64,
+        sparsity_b: f64,
+    ) -> Self {
         assert!((0.0..=1.0).contains(&sparsity_a), "sparsity_a out of range");
         assert!((0.0..=1.0).contains(&sparsity_b), "sparsity_b out of range");
         Self {

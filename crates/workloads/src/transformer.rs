@@ -37,7 +37,7 @@ impl TransformerConfig {
     }
 
     /// Per-head dimension.
-    pub fn d_head(&self) -> usize {
+    pub(crate) fn d_head(&self) -> usize {
         self.d_model / self.n_heads
     }
 
@@ -88,18 +88,6 @@ impl TransformerConfig {
             mk("xf_decode_lm_head", d, self.vocab),
         ]
     }
-
-    /// Total MACs of one block plus the LM head (prefill mode).
-    pub fn block_macs(&self) -> usize {
-        // Per-head products run once per head.
-        self.block_workloads()
-            .iter()
-            .map(|w| {
-                let per_head = w.name.contains("attn_scores") || w.name.contains("attn_context");
-                w.shape.macs() * if per_head { self.n_heads } else { 1 }
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -139,12 +127,5 @@ mod tests {
             assert_eq!(w.kind, WorkloadKind::Gemv);
             assert!(w.shape.arithmetic_intensity() < 1.0);
         }
-    }
-
-    #[test]
-    fn block_macs_plausible() {
-        // One GPT-3 2.7B block + LM head at seq 1024: tens of GMACs.
-        let macs = TransformerConfig::gpt3_2p7b().block_macs();
-        assert!((50_000_000_000..350_000_000_000).contains(&macs), "{macs}");
     }
 }
