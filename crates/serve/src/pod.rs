@@ -587,11 +587,6 @@ struct ModelCache {
     /// alternating 10 s pairs, the memo winning 8): every dispatch,
     /// planner probe, admission estimate and preemption check asks it.
     service: FxHashMap<ServiceKey, Service>,
-    /// Every single-array dispatch walk, interned by `(cfg, dataflow,
-    /// shape)` (the drain policy is the pod's). A scale-up service entry
-    /// looks its walk up here once and then carries it, so a launch
-    /// reads its walk from the lookup that plans it.
-    walks: FxHashMap<(ArrayConfig, Dataflow, GemmShape), InternedWalk>,
     /// Whole-plan memo of [`plan_sharding`], keyed on every input its
     /// score reads. Its hit/miss/grids-scored counters feed
     /// [`TraceSink::planner_stats`], which `perfbench` reports.
@@ -604,7 +599,10 @@ struct ModelCache {
 type ServiceKey = (ArrayConfig, MappingPolicy, DrainPolicy, Tiling, GemmShape);
 
 /// A service memo entry: the chosen dataflow and modeled cycles, and for
-/// a scale-up key its interned walk once a dispatch has needed it.
+/// a scale-up key its interned walk once a dispatch has needed it. The
+/// pod's mapping and drain are fixed, so a scale-up key and the walk's
+/// `(cfg, dataflow, shape)` determine each other: the entry is the
+/// walk's one owner.
 #[derive(Debug)]
 struct Service {
     dataflow: Dataflow,
@@ -693,13 +691,9 @@ impl ModelCache {
     ) -> (Dataflow, usize, InternedWalk) {
         let key = (*cfg, pod.mapping, pod.drain, Tiling::ScaleUp, shape);
         let s = service_entry(&mut self.service, key);
-        let (df, walks) = (s.dataflow, &mut self.walks);
+        let df = s.dataflow;
         let walk = s.walk.get_or_insert_with(|| {
-            let arrays = pod.arrays.len();
-            let interned = walks
-                .entry((*cfg, df, shape))
-                .or_insert_with(|| InternedWalk::new(tile_walk(cfg, pod.drain, df, shape), arrays));
-            interned.clone()
+            InternedWalk::new(tile_walk(cfg, pod.drain, df, shape), pod.arrays.len())
         });
         (df, s.cycles, walk.clone())
     }

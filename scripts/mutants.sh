@@ -206,12 +206,13 @@ FILES+=(crates/serve/src/pod.rs)
 FROMS+=("Some(rows) if timing.is_shared() => rows.get(total_weight.max(1) - 1),")
 TOS+=("Some(rows) if timing.is_shared() => rows.get(self.timed_total_weight.max(1) - 1),")
 
-# The walk table keys a walk by array and shape only, so a shape planned
-# under another dataflow gets the first dataflow's walk and prices.
-NAMES+=("walk intern key without the dataflow")
+# `scale_up` builds a fresh walk on every call instead of carrying the
+# one its service entry holds, so jobs of one walk no longer share its
+# price rows.
+NAMES+=("scale_up builds a fresh walk on every call instead of carrying it")
 FILES+=(crates/serve/src/pod.rs)
-FROMS+=(".entry((*cfg, df, shape))")
-TOS+=(".entry((*cfg, Dataflow::Os, shape))")
+FROMS+=("let walk = s.walk.get_or_insert_with(|| {")
+TOS+=("let walk = s.walk.insert({")
 
 if [ $# -gt 1 ]; then
     echo "usage: bash scripts/mutants.sh [<rev>]" >&2
