@@ -18,4 +18,5 @@ pub mod overload;
 pub mod policy;
 pub mod series;
 pub mod serving;
-pub(crate) mod sweep;
+
+mod sweep;

@@ -178,7 +178,8 @@ impl Default for DramTrafficModel {
 ///
 /// let layer = ConvLayer::new(64, 64, 56, 56, 3, 1, 1);
 /// let t = layer_dram_traffic(&layer, DramTrafficModel::default());
-/// assert!(t.ifmap_reduction_pct() > 50.0);
+/// let onchip_total = t.onchip_ifmap_bytes + t.filter_bytes + t.ofmap_bytes;
+/// assert!(t.software_total() as f64 / onchip_total as f64 > 1.5);
 /// ```
 pub fn layer_dram_traffic(layer: &ConvLayer, model: DramTrafficModel) -> LayerTraffic {
     let passes = layer.out_channels.div_ceil(model.array_rows.max(1));
