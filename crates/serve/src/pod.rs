@@ -601,8 +601,8 @@ type ServiceKey = (ArrayConfig, MappingPolicy, DrainPolicy, Tiling, GemmShape);
 /// A service memo entry: the chosen dataflow and modeled cycles, and for
 /// a scale-up key its interned walk once a dispatch has needed it. The
 /// pod's mapping and drain are fixed, so a scale-up key and the walk's
-/// `(cfg, dataflow, shape)` determine each other: the entry is the
-/// walk's one owner.
+/// `(cfg, dataflow, shape)` determine each other, and the entry builds
+/// and keeps the walk itself.
 #[derive(Debug)]
 struct Service {
     dataflow: Dataflow,
