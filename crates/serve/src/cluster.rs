@@ -574,9 +574,6 @@ struct ClusterEngine<'a, 's> {
     feeds: Vec<PodFeed<'s>>,
     /// The scope the pod workers run in.
     scope: &'s Scope<'s, 'a>,
-    /// Bucket width of the pods' arrival calendars: the global trace's
-    /// mean inter-arrival gap.
-    width: u64,
     sink: &'a mut dyn TraceSink,
 }
 
@@ -600,8 +597,6 @@ impl<'a, 's> ClusterEngine<'a, 's> {
         let trace = RequestGenerator::new(traffic)
             .arrival_trace(&traffic.arrival, traffic.num_clients)
             .expect("cluster simulation is trace-driven only (closed-loop is a per-pod construct)");
-        let span = trace.iter().map(|r| r.arrival).max().unwrap_or(0) + 1;
-        let width = span / trace.len().max(1) as u64;
         let n = cluster.pods.len();
         let initial_active = match cluster.autoscale {
             None => n,
@@ -657,7 +652,6 @@ impl<'a, 's> ClusterEngine<'a, 's> {
             next_fail: 0,
             feeds,
             scope,
-            width,
             sink,
         }
     }
@@ -722,18 +716,13 @@ impl<'a, 's> ClusterEngine<'a, 's> {
         let mut pod = self.cluster.pods[pi].pod.clone();
         pod.available_from = pod.available_from.max(self.states[pi].ready_at);
         let record = self.sink.enabled();
-        let (width, capacity) = (self.width, FEED_BATCH);
         let worker = self.scope.spawn(move || {
             let mut rec = RecordingSink::default();
             let mut null = NullSink;
             let sink: &mut dyn TraceSink = if record { &mut rec } else { &mut null };
             let mut policy = pod.scheduler.build(&pod.client_weights);
-            let input = Input::Feed {
-                batches,
-                width,
-                capacity,
-            };
-            let report = PodEngine::new(&pod, input, policy.as_mut(), sink, pi).run();
+            let report =
+                PodEngine::new(&pod, Input::Feed(batches), policy.as_mut(), sink, pi).run();
             (report, rec.events)
         });
         self.feeds[pi].worker = Some(worker);

@@ -8,7 +8,7 @@
 //! [`Diurnal`] repeats a piecewise rate curve (load-over-the-day), and
 //! [`FlashCrowd`] overlays spike windows on a baseline rate. All of
 //! them are pure functions of `(seed, config)` and produce arrivals in
-//! exact `(arrival, id)` order — the calendar-queue contract.
+//! exact `(arrival, id)` order, the order the pod's arrival queue pops.
 //!
 //! [`TraceReplay`]: ArrivalProcess::TraceReplay
 //! [`MarkovModulatedPoisson`]: ArrivalProcess::MarkovModulatedPoisson

@@ -244,7 +244,7 @@ fn trace_driven_models_are_deterministic_and_ordered() {
             );
         }
         // Nondecreasing arrivals + sequential ids = the trace is already
-        // in the exact `(arrival, id)` order the pod's calendar queue
+        // in the exact `(arrival, id)` order the pod's arrival queue
         // consumes, so simulation order is pinned by construction.
         for (i, w) in a.windows(2).enumerate() {
             assert!(

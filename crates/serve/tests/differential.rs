@@ -275,11 +275,11 @@ fn sharding_heavy_stream_matches_reference() {
     }
 }
 
-/// Calendar-queue stress: zero think time makes every completion
-/// reissue an arrival at the completion cycle itself (a push exactly at
-/// the window anchor), and a dense open-loop burst piles many requests
-/// into single buckets with duplicated arrival cycles — both must drain
-/// in the exact `(arrival, id)` order of the reference engine's heap.
+/// Arrival-queue stress: zero think time makes every completion
+/// reissue an arrival at the completion cycle itself (a push at `now`,
+/// at the sorted run's back), and a dense open-loop burst piles
+/// many requests onto duplicated arrival cycles — both must drain in
+/// the exact `(arrival, id)` order of the reference engine's heap.
 #[test]
 fn bursty_and_zero_think_arrivals_match_reference() {
     let pod = matrix_pod(

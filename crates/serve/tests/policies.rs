@@ -255,8 +255,13 @@ impl SchedulingPolicy for ComputeBilledWfq {
     fn name(&self) -> &'static str {
         "wfq-compute-billed"
     }
-    fn next_batch(&mut self, queue: &mut QueueIndex, now: u64) -> Option<Batch> {
-        self.0.next_batch(queue, now)
+    fn next_batch(
+        &mut self,
+        queue: &mut QueueIndex,
+        now: u64,
+        requests: Vec<Request>,
+    ) -> Option<Batch> {
+        self.0.next_batch(queue, now, requests)
     }
     fn on_dispatch(&mut self, batch: &Batch, service_cycles: u64) {
         self.0.on_dispatch(batch, service_cycles);
