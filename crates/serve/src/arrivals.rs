@@ -120,9 +120,9 @@ mod tests {
         assert_eq!(q.pop(), None);
     }
 
-    /// The closed-loop usage pattern: pops drain everything due by a
-    /// monotone `now`, pushes inject reissues at or after `now` (often
-    /// before the run's back, so they take the heap). Mirrors a
+    /// Pops drain everything due by a monotone `now`, and each step then
+    /// pushes up to two keys at random cycles after `now`, so a push
+    /// often lands below the run's back and takes the heap. Mirrors a
     /// `BinaryHeap` oracle key for key.
     #[test]
     fn interleaved_pushes_match_heap_oracle() {
@@ -132,25 +132,30 @@ mod tests {
         let mut oracle: BinaryHeap<Reverse<ArrivalKey>> =
             seed.iter().map(|&k| Reverse(k)).collect();
 
-        let mut now = 0u64;
-        let mut next_id = seed.len();
-        for step in 0..2000 {
+        let (mut now, mut next_id) = (0u64, seed.len());
+        let (mut popped, mut heap_max) = (0usize, 0usize);
+        for _ in 0..2000 {
             now += rng.next(5000);
             while oracle.peek().is_some_and(|Reverse((a, ..))| *a <= now) {
                 let Reverse(want) = oracle.pop().expect("peeked");
                 assert_eq!(q.peek_arrival(), Some(want.0));
                 assert_eq!(q.pop(), Some(want));
-                // Reissue-style push: never in the past.
-                if step % 3 != 0 {
-                    let k = key(next_id, now + rng.next(200_000));
-                    next_id += 1;
-                    oracle.push(Reverse(k));
-                    q.push(k);
-                }
+                popped += 1;
             }
+            for _ in 0..rng.next(3) {
+                let k = key(next_id, now + 1 + rng.next(200_000));
+                next_id += 1;
+                oracle.push(Reverse(k));
+                q.push(k);
+            }
+            heap_max = heap_max.max(q.heap.len());
             assert_eq!(q.peek_arrival(), oracle.peek().map(|Reverse((a, ..))| *a));
             assert_eq!(q.is_empty(), oracle.is_empty());
         }
+        assert!(
+            popped > 1000 && heap_max > 10,
+            "{popped} pops, heap up to {heap_max}"
+        );
     }
 
     /// A streamed feed pushes canonical batches and drains below each
