@@ -215,8 +215,8 @@ FROMS+=("let walk = s.walk.get_or_insert_with(|| {")
 TOS+=("let walk = s.walk.insert({")
 
 # An arrival pop takes the sorted run's front whenever the run is not
-# empty, without comparing the heap's top: a closed-loop reissue or a
-# late equal-arrival key waits behind later arrivals.
+# empty, without comparing the heap's top: a fed key at the watermark's
+# arrival with a lower id than one already queued is admitted late.
 NAMES+=("arrival pop takes the run's front without comparing the heap")
 FILES+=(crates/serve/src/arrivals.rs)
 FROMS+=($'            (Some(r), Some(Reverse(h))) if h < r => self.heap.pop().map(|Reverse(k)| k),\n')
